@@ -1569,7 +1569,7 @@ let make_causal (suite : Suite.t) =
   let cells =
     List.map
       (fun (s : Spec.t) ->
-        let mech, scale =
+        let w =
           match s.Spec.whatif with
           | [ w ] -> w
           | l ->
@@ -1578,36 +1578,23 @@ let make_causal (suite : Suite.t) =
                    "%s %s: causal-point wants exactly one whatif axis, got %d"
                    sname s.Spec.name (List.length l))
         in
-        let platform = Xc_platforms.Platform.create s.Spec.platform in
-        let config =
-          {
-            (CS.config_of_platform ~containers:s.Spec.load.Spec.containers
-               ~connections:s.Spec.load.Spec.connections platform)
-            with
-            CS.duration_ns = Spec.duration_ns s;
-            warmup_ns = Spec.warmup_ns s;
-            seed = s.Spec.seed;
-          }
-        in
+        let config = Sdriver.cluster_config s in
         let tlabel =
           Printf.sprintf "%s/c%d"
             (Spec.runtime_to_string s.Spec.platform.Config.runtime)
             s.Spec.load.Spec.connections
         in
         let rerun_config =
-          ok s.Spec.name
-            (Xc_obs.Whatif.apply_cluster { Xc_obs.Whatif.mech; scale } config)
+          ok s.Spec.name (Xc_obs.Whatif.apply_cluster w config)
         in
-        (s.Spec.name, tlabel, config, mech, scale, rerun_config))
+        (s.Spec.name, tlabel, config, w, rerun_config))
       suite.Suite.specs
   in
   (* Each (runtime x connections) baseline runs — and is traced — once,
      shared by every what-if cell against it. *)
-  let targets = distinct (List.map (fun (_, t, _, _, _, _) -> t) cells) in
+  let targets = distinct (List.map (fun (_, t, _, _, _) -> t) cells) in
   let config_of t =
-    let _, _, c, _, _, _ =
-      List.find (fun (_, tl, _, _, _, _) -> tl = t) cells
-    in
+    let _, _, c, _, _ = List.find (fun (_, tl, _, _, _) -> tl = t) cells in
     c
   in
   Whole
@@ -1626,16 +1613,9 @@ let make_causal (suite : Suite.t) =
         baselines;
       let points =
         List.map
-          (fun (name, tlabel, _, mech, scale, rerun_config) ->
-            let b = List.assoc tlabel baselines in
-            {
-              Causal.pt_label = name;
-              pt_mech = mech;
-              pt_scale = scale;
-              pt_base = b.Causal.base;
-              pt_pred = Causal.predict b ~mech ~scale;
-              pt_rerun = CS.run rerun_config;
-            })
+          (fun (name, tlabel, _, w, rerun_config) ->
+            Causal.point ~label:name (List.assoc tlabel baselines) w
+              (CS.run rerun_config))
           cells
       in
       print_string (Causal.render_points points);

@@ -1617,9 +1617,16 @@ let cluster_cmd =
    simulation.  The shared flags price one cluster target per runtime;
    pricing happens before tracing is enabled (the platform cost
    queries emit spans themselves). *)
+module Mechanism = Xc_trace.Mechanism
+
 let causal_mech_doc =
   Printf.sprintf "Mechanism to scale: %s."
-    (String.concat ", " Xc_obs.Whatif.mechanisms)
+    (String.concat ", " (List.map Mechanism.to_string Mechanism.all))
+
+(* Parsed in the command body, not by a Cmdliner converter: a bad
+   --mech or --scale must exit 1 with a named error. *)
+let whatif_or_exit mech scale =
+  match Xc_obs.Whatif.make ~mech ~scale with Ok w -> w | Error e -> exit_err e
 
 let causal_target ~cloud ~containers ~connections ~duration_ms ~warmup_ms ~seed
     runtime =
@@ -1696,7 +1703,7 @@ let causal_run_cmd =
             ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container.")
   in
   let mech =
-    Arg.(value & opt string "syscall-entry"
+    Arg.(value & opt string Mechanism.(to_string Syscall_entry)
         & info [ "mech"; "m" ] ~docv:"MECH" ~doc:causal_mech_doc)
   in
   let scale =
@@ -1707,14 +1714,12 @@ let causal_run_cmd =
   in
   let run runtime cloud containers connections duration_ms warmup_ms seed mech
       scale =
-    (match Xc_obs.Whatif.validate ~mech ~scale with
-    | Ok () -> ()
-    | Error e -> exit_err e);
+    let w = whatif_or_exit mech scale in
     let target =
       causal_target ~cloud ~containers ~connections ~duration_ms ~warmup_ms
         ~seed runtime
     in
-    match Xc_obs.Causal.run_point target ~mech ~scale with
+    match Xc_obs.Causal.run_point target w with
     | Error e -> exit_err e
     | Ok (b, pt) ->
         print_string (Xc_obs.Causal.render_baseline ~label:target.Xc_obs.Causal.label b);
@@ -1772,25 +1777,21 @@ let causal_sweep_cmd =
     in
     let mechs =
       if mechs <> [] then mechs
-      else [ "syscall-entry"; "syscall-work"; "ctx-switch" ]
+      else
+        List.map Mechanism.to_string
+          Mechanism.[ Syscall_entry; Syscall_work; Ctx_switch ]
     in
     let scales = if scales <> [] then scales else [ 0.7 ] in
-    List.iter
-      (fun mech ->
-        List.iter
-          (fun scale ->
-            match Xc_obs.Whatif.validate ~mech ~scale with
-            | Ok () -> ()
-            | Error e -> exit_err e)
-          scales)
-      mechs;
+    let whatifs =
+      List.concat_map (fun mech -> List.map (whatif_or_exit mech) scales) mechs
+    in
     let targets =
       List.map
         (causal_target ~cloud ~containers ~connections ~duration_ms ~warmup_ms
            ~seed)
         runtimes
     in
-    match Xc_obs.Causal.sweep ~jobs ~targets ~mechs ~scales () with
+    match Xc_obs.Causal.sweep ~jobs ~targets ~whatifs () with
     | Error e -> exit_err e
     | Ok (baselines, points) ->
         List.iter

@@ -1,3 +1,6 @@
+module Price = Xc_platforms.Price
+module Platform = Xc_platforms.Platform
+
 type t = {
   name : string;
   user_ns : float;
@@ -24,66 +27,49 @@ let make ~name ~user_ns ~ops ?(request_bytes = 256) ?(response_bytes = 1024)
 
 let syscall_count t = List.length t.ops
 
-let syscalls_ns platform t =
-  List.fold_left
-    (fun acc op ->
-      acc +. Xc_platforms.Platform.syscall_ns ~coverage:t.abom_coverage platform op)
-    0. t.ops
-
+(* Service time sums its terms in its own order — user, summed op
+   prices, switches, interrupts, network — which is not the row sum
+   of [mechanisms]; see {!Price} on why both roundings stay. *)
 let cpu_only_ns platform t =
-  t.user_ns +. syscalls_ns platform t
-  +. (float_of_int t.process_hops
-     *. Xc_platforms.Platform.process_switch_ns platform)
-  +. (float_of_int t.irqs *. Xc_platforms.Platform.irq_ns platform)
+  t.user_ns
+  +. Price.syscalls_ns ~coverage:t.abom_coverage platform t.ops
+  +. (float_of_int t.process_hops *. Platform.process_switch_ns platform)
+  +. (float_of_int t.irqs *. Platform.irq_ns platform)
 
 let service_ns platform t =
   cpu_only_ns platform t
-  +. Xc_platforms.Platform.request_net_ns platform ~request_bytes:t.request_bytes
+  +. Platform.request_net_ns platform ~request_bytes:t.request_bytes
        ~response_bytes:t.response_bytes
 
-(* The same total as [service_ns], split by mechanism the way the
-   tracer categorises spans — so a driver can re-emit a request's cost
-   as synthetic child spans and tail attribution recovers exactly the
-   recipe's decomposition.  Call with tracing disabled (or before
-   enabling): the platform cost queries themselves emit trace spans. *)
+(* The same total as [service_ns], split into priced rows.  Call with
+   tracing disabled (or before enabling): the platform cost queries
+   themselves emit trace spans. *)
 let mechanisms platform t =
-  let entry =
-    Xc_platforms.Platform.syscall_entry_ns ~coverage:t.abom_coverage platform
-  in
-  let n = syscall_count t in
-  let work = syscalls_ns platform t -. (float_of_int n *. entry) in
+  let coverage = t.abom_coverage in
+  let entry_ns = Platform.syscall_entry_ns ~coverage platform in
+  let work_ns = Price.recipe_work_ns ~coverage platform ~entry_ns t.ops in
   let base =
-    [
-      ("cpu", "user", t.user_ns);
-      ("syscall-entry", "entry", float_of_int n *. entry);
-      ("syscall-work", "kernel", work);
-    ]
+    Price.syscall_rows ~user_ns:t.user_ns ~entry_ns ~calls:(syscall_count t)
+      ~work_ns
+  in
+  let priced n mech name price =
+    if n = 0 then []
+    else [ { Price.mech; name; ns = float_of_int n *. price platform } ]
   in
   let hops =
-    if t.process_hops = 0 then []
-    else
-      [
-        ( "ctx-switch", "process",
-          float_of_int t.process_hops
-          *. Xc_platforms.Platform.process_switch_ns platform );
-      ]
+    priced t.process_hops Ctx_switch "process" Platform.process_switch_ns
   in
-  let irqs =
-    if t.irqs = 0 then []
-    else
-      [
-        ( "irq", "delivery",
-          float_of_int t.irqs *. Xc_platforms.Platform.irq_ns platform );
-      ]
-  in
+  let irqs = priced t.irqs Irq "delivery" Platform.irq_ns in
   let net =
-    [
-      ( "net.hop", "server-stack",
-        Xc_platforms.Platform.request_net_ns platform
-          ~request_bytes:t.request_bytes ~response_bytes:t.response_bytes );
-    ]
+    {
+      Price.mech = Net_hop;
+      name = "server-stack";
+      ns =
+        Platform.request_net_ns platform ~request_bytes:t.request_bytes
+          ~response_bytes:t.response_bytes;
+    }
   in
-  List.filter (fun (_, _, ns) -> ns > 0.) (base @ hops @ irqs @ net)
+  List.filter (fun r -> r.Price.ns > 0.) (base @ hops @ irqs @ [ net ])
 
 let with_jitter t platform ~cv rng =
   let base = service_ns platform t in

@@ -42,12 +42,11 @@ val with_jitter :
 (** Sample a service time with lognormal-ish jitter of coefficient of
     variation [cv] around the deterministic value. *)
 
-val mechanisms :
-  Xc_platforms.Platform.t -> t -> (string * string * float) list
-(** The {!service_ns} total split by mechanism as [(category, name,
-    ns)] rows using the tracer's span categories ([cpu],
-    [syscall-entry], [syscall-work], [ctx-switch], [irq], [net.hop]),
-    zero rows omitted; rows sum to {!service_ns} (up to rounding).
+val mechanisms : Xc_platforms.Platform.t -> t -> Xc_platforms.Price.row list
+(** The {!service_ns} total split into priced rows ([cpu/user],
+    [syscall-entry/entry], [syscall-work/kernel], [ctx-switch/process],
+    [irq/delivery], [net.hop/server-stack]), zero rows omitted; rows
+    sum to {!service_ns} up to rounding (see {!Xc_platforms.Price}).
     Feed to [Closed_loop.config.trace_mechanisms] so per-request tail
     attribution recovers the recipe's decomposition.  Call while
     tracing is disabled — the platform cost queries themselves emit

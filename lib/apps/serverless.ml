@@ -74,9 +74,7 @@ let queries_per_page = 12
 let php_cpu_ns platform =
   let per_page_ops = [ K.Accept_op; K.Socket_recv 300; K.Socket_send 1800; K.Cheap Close ]
   and per_query_ops = [ K.Socket_send 180; K.Socket_recv 420 ] in
-  let ops_cost ops =
-    List.fold_left (fun acc op -> acc +. Platform.syscall_ns ~coverage:0.99 platform op) 0. ops
-  in
+  let ops_cost = Xc_platforms.Price.syscalls_ns ~coverage:0.99 platform in
   120_000. +. ops_cost per_page_ops
   +. (float_of_int queries_per_page *. ops_cost per_query_ops)
 
@@ -84,9 +82,8 @@ let php_cpu_ns platform =
 let mysql_cpu_ns platform =
   let ops = [ K.Epoll; K.Socket_recv 180; K.File_read 4096; K.Socket_send 420 ] in
   3_000.
-  +. List.fold_left
-       (fun acc op -> acc +. Platform.syscall_ns ~coverage:Mysql.abom_coverage_auto platform op)
-       0. ops
+  +. Xc_platforms.Price.syscalls_ns ~coverage:Mysql.abom_coverage_auto platform
+       ops
 
 (* Network round trip PHP <-> MySQL between two single-core VMs on the
    same switch: wire RTT plus both stacks, both directions. *)

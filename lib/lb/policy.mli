@@ -79,5 +79,5 @@ val probes : t -> int
 
 val round_robin_step : cursor:int -> backends:int -> int * int
 (** The bare round-robin arithmetic [(cursor mod backends, cursor + 1)]
-    — extracted from [Load_balancer.pick_backend], which now delegates
-    here.  Raises [Invalid_argument] when [backends <= 0]. *)
+    behind the {!Round_robin} policy.  Raises [Invalid_argument] when
+    [backends <= 0]. *)

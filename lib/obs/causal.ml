@@ -21,8 +21,7 @@ type prediction = {
 
 type point = {
   pt_label : string;
-  pt_mech : string;
-  pt_scale : float;
+  pt_whatif : Whatif.t;
   pt_base : CS.result;
   pt_pred : prediction;
   pt_rerun : CS.result;
@@ -83,10 +82,11 @@ let measure_baseline config =
     mech_tail_mean;
   }
 
-let predict b ~mech ~scale =
-  let mean_of alist = Option.value (List.assoc_opt mech alist) ~default:0. in
-  let dmean = (scale -. 1.) *. mean_of b.mech_mean in
-  let dtail = (scale -. 1.) *. mean_of b.mech_tail_mean in
+let predict b (w : Whatif.t) =
+  let cat = Xc_trace.Mechanism.to_string w.mech in
+  let mean_of alist = Option.value (List.assoc_opt cat alist) ~default:0. in
+  let dmean = (w.scale -. 1.) *. mean_of b.mech_mean in
+  let dtail = (w.scale -. 1.) *. mean_of b.mech_tail_mean in
   let base_mean = b.base.CS.mean_latency_ns in
   let pred_mean_ns = Float.max (base_mean +. dmean) 1. in
   (* Closed loop, zero think time: X = N / E[R], so the predicted
@@ -99,45 +99,43 @@ let predict b ~mech ~scale =
   let pred_p99_ns = b.base.CS.p99_latency_ns +. dtail in
   { pred_tput; pred_mean_ns; pred_p99_ns }
 
+let point ~label b w rerun =
+  {
+    pt_label = label;
+    pt_whatif = w;
+    pt_base = b.base;
+    pt_pred = predict b w;
+    pt_rerun = rerun;
+  }
+
 let ( let* ) = Result.bind
 
-let run_point target ~mech ~scale =
-  let* rerun_config =
-    Whatif.apply_cluster { Whatif.mech; scale } target.config
-  in
+let run_point target w =
+  let* rerun_config = Whatif.apply_cluster w target.config in
   let b = with_tracing (fun () -> measure_baseline target.config) in
   let rerun = CS.run rerun_config in
-  Ok
-    ( b,
-      {
-        pt_label = target.label;
-        pt_mech = mech;
-        pt_scale = scale;
-        pt_base = b.base;
-        pt_pred = predict b ~mech ~scale;
-        pt_rerun = rerun;
-      } )
+  Ok (b, point ~label:target.label b w rerun)
 
 (* Pre-validate and re-price the whole grid before anything runs, so a
    bad what-if fails fast instead of after the expensive baselines. *)
-let grid ~targets ~mechs ~scales =
+let grid ~targets ~whatifs =
   let cells =
     List.concat_map
-      (fun target ->
-        List.concat_map
-          (fun mech -> List.map (fun scale -> (target, mech, scale)) scales)
-          mechs)
+      (fun target -> List.map (fun w -> (target, w)) whatifs)
       targets
   in
   List.fold_left
-    (fun acc (target, mech, scale) ->
+    (fun acc (target, (w : Whatif.t)) ->
       let* l = acc in
       let* config =
         Result.map_error
-          (fun m -> Printf.sprintf "%s: %s x%g: %s" target.label mech scale m)
-          (Whatif.apply_cluster { Whatif.mech; scale } target.config)
+          (fun m ->
+            Printf.sprintf "%s: %s x%g: %s" target.label
+              (Xc_trace.Mechanism.to_string w.mech)
+              w.scale m)
+          (Whatif.apply_cluster w target.config)
       in
-      Ok ((target, mech, scale, config) :: l))
+      Ok ((target, w, config) :: l))
     (Ok []) cells
   |> Result.map List.rev
 
@@ -145,41 +143,23 @@ let assemble ~targets baselines reruns_cells rerun_results =
   let by_label = List.combine (List.map (fun t -> t.label) targets) baselines in
   let points =
     List.map2
-      (fun (target, mech, scale, _) rerun ->
-        let b = List.assoc target.label by_label in
-        {
-          pt_label = target.label;
-          pt_mech = mech;
-          pt_scale = scale;
-          pt_base = b.base;
-          pt_pred = predict b ~mech ~scale;
-          pt_rerun = rerun;
-        })
+      (fun (target, w, _) rerun ->
+        point ~label:target.label (List.assoc target.label by_label) w rerun)
       reruns_cells rerun_results
   in
   (by_label, points)
 
-let points_seq ~targets ~mechs ~scales () =
-  let* cells = grid ~targets ~mechs ~scales in
-  let baselines =
-    with_tracing (fun () ->
-        List.map (fun t -> measure_baseline t.config) targets)
-  in
-  let rerun_results = List.map (fun (_, _, _, c) -> CS.run c) cells in
-  Ok (assemble ~targets baselines cells rerun_results)
-
 type cell_result = B of baseline | R of CS.result
 
-let sweep ?jobs ~targets ~mechs ~scales () =
-  let* cells = grid ~targets ~mechs ~scales in
+let sweep ?jobs ~targets ~whatifs () =
+  let* cells = grid ~targets ~whatifs in
   let shards =
     List.map
       (fun t ->
         Xc_sim.Parallel.Shard.thunk (fun () -> B (measure_baseline t.config)))
       targets
     @ List.map
-        (fun (_, _, _, c) ->
-          Xc_sim.Parallel.Shard.thunk (fun () -> R (CS.run c)))
+        (fun (_, _, c) -> Xc_sim.Parallel.Shard.thunk (fun () -> R (CS.run c)))
         cells
   in
   let results =
@@ -222,7 +202,7 @@ let render_points points =
       T.add_row t
         [
           p.pt_label;
-          Whatif.to_string { Whatif.mech = p.pt_mech; scale = p.pt_scale };
+          Whatif.to_string p.pt_whatif;
           T.fmt_si p.pt_base.CS.throughput_rps;
           T.fmt_si p.pt_pred.pred_tput;
           T.fmt_si p.pt_rerun.CS.throughput_rps;
@@ -244,8 +224,9 @@ let points_csv points =
   List.iter
     (fun p ->
       Printf.bprintf b "%s,%s,%s,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n"
-        p.pt_label p.pt_mech
-        (Printf.sprintf "%g" p.pt_scale)
+        p.pt_label
+        (Xc_trace.Mechanism.to_string p.pt_whatif.Whatif.mech)
+        (Printf.sprintf "%g" p.pt_whatif.Whatif.scale)
         p.pt_base.CS.throughput_rps p.pt_base.CS.mean_latency_ns
         p.pt_base.CS.p99_latency_ns p.pt_pred.pred_tput p.pt_pred.pred_mean_ns
         p.pt_pred.pred_p99_ns p.pt_rerun.CS.throughput_rps

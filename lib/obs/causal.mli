@@ -52,8 +52,7 @@ type prediction = {
 
 type point = {
   pt_label : string;
-  pt_mech : string;
-  pt_scale : float;
+  pt_whatif : Whatif.t;
   pt_base : CS.result;
   pt_pred : prediction;
   pt_rerun : CS.result;
@@ -71,38 +70,28 @@ val measure_baseline : CS.config -> baseline
     [request_mech] pricing) the attribution comes back empty and
     predictions degenerate to the baseline. *)
 
-val predict : baseline -> mech:string -> scale:float -> prediction
+val predict : baseline -> Whatif.t -> prediction
 (** The linear-share prediction above.  A mechanism with no
     attributed time predicts no change. *)
 
-val run_point :
-  target -> mech:string -> scale:float -> (baseline * point, string) result
+val point : label:string -> baseline -> Whatif.t -> CS.result -> point
+(** A rerun result beside its baseline and {!predict}ion. *)
+
+val run_point : target -> Whatif.t -> (baseline * point, string) result
 (** Sequential single point: traced baseline, prediction, re-priced
     rerun.  [Error] if the what-if does not apply to the config. *)
 
 val sweep :
   ?jobs:int ->
   targets:target list ->
-  mechs:string list ->
-  scales:float list ->
+  whatifs:Whatif.t list ->
   unit ->
   ((string * baseline) list * point list, string) result
 (** The full grid: one traced baseline per target, one rerun per
-    (target x mech x scale), all validated up front and fanned out as
+    (target x what-if), all validated up front and fanned out as
     independent pool shards.  Baselines come back in target order,
-    points in (target, mech, scale) row-major order — identical at any
+    points in (target, what-if) row-major order — identical at any
     [jobs]. *)
-
-val points_seq :
-  targets:target list ->
-  mechs:string list ->
-  scales:float list ->
-  unit ->
-  ((string * baseline) list * point list, string) result
-(** {!sweep} without the pool — plain sequential maps on the calling
-    domain.  For callers already running inside a pool shard (the
-    bench harness), where nesting a second pool would interleave with
-    the outer capture drains. *)
 
 val render_points : point list -> string
 (** The predicted-vs-rerun table: throughput and p99 triples per point

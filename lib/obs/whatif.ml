@@ -1,28 +1,25 @@
 module CS = Xc_platforms.Cluster_sim
+module Mechanism = Xc_trace.Mechanism
+module Price = Xc_platforms.Price
 
-type t = { mech : string; scale : float }
-
-let mechanisms =
-  [ "cpu"; "syscall-entry"; "syscall-work"; "ctx-switch"; "irq"; "net.hop" ]
+type t = { mech : Mechanism.t; scale : float }
 
 let max_scale = 10.
+let ( let* ) = Result.bind
 
-let validate ~mech ~scale =
-  if not (List.mem mech mechanisms) then
-    Error
-      (Printf.sprintf "unknown mechanism %S (%s)" mech
-         (String.concat ", " mechanisms))
-  else if not (Float.is_finite scale) then
-    Error (Printf.sprintf "scale must be a finite number")
-  else if scale < 0. || scale > max_scale then
-    Error
-      (Printf.sprintf "scale must be in [0, %g], got %s" max_scale
-         (Printf.sprintf "%g" scale))
+let validate w =
+  if not (Float.is_finite w.scale) then Error "scale must be a finite number"
+  else if w.scale < 0. || w.scale > max_scale then
+    Error (Printf.sprintf "scale must be in [0, %g], got %g" max_scale w.scale)
   else Ok ()
 
-(* Shortest float form for the canonical rendering (mirrors
-   Spec.float_to_string without depending on the suite layer). *)
-let float_str v =
+let make ~mech ~scale =
+  let* mech = Mechanism.of_string mech in
+  let w = { mech; scale } in
+  let* () = validate w in
+  Ok w
+
+let float_to_string v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else
     let rec go p =
@@ -33,9 +30,8 @@ let float_str v =
     in
     go 1
 
-let to_string w = Printf.sprintf "%s x%s" w.mech (float_str w.scale)
-
-let ( let* ) = Result.bind
+let to_string w =
+  Printf.sprintf "%s x%s" (Mechanism.to_string w.mech) (float_to_string w.scale)
 
 let parse s =
   let s = String.trim s in
@@ -43,18 +39,13 @@ let parse s =
      separator without the space would be ambiguous: mechanism names
      themselves contain 'x' (ctx-switch). *)
   let split =
-    match String.index_opt s ':' with
+    match List.find_map (String.index_opt s) [ ':'; '=' ] with
     | Some i -> Some (i, 1)
     | None -> (
-        match String.index_opt s '=' with
-        | Some i -> Some (i, 1)
-        | None -> (
-            let rec find i =
-              if i + 1 >= String.length s then None
-              else if s.[i] = ' ' then Some (i, if s.[i + 1] = 'x' then 2 else 1)
-              else find (i + 1)
-            in
-            find 0))
+        match String.index_opt s ' ' with
+        | Some i when i + 1 < String.length s ->
+            Some (i, if s.[i + 1] = 'x' then 2 else 1)
+        | _ -> None)
   in
   match split with
   | None ->
@@ -68,20 +59,15 @@ let parse s =
       in
       match float_of_string_opt rest with
       | None -> Error (Printf.sprintf "bad scale %S in %S" rest s)
-      | Some scale ->
-          let* () = validate ~mech ~scale in
-          Ok { mech; scale })
+      | Some scale -> make ~mech ~scale)
 
-let scale_rows w rows =
-  List.map
-    (fun (cat, name, ns) ->
-      if cat = w.mech then (cat, name, ns *. w.scale) else (cat, name, ns))
-    rows
+let scale_rows ws rows =
+  List.fold_left (fun rows w -> Price.scale w.mech w.scale rows) rows ws
 
 let apply_cluster w (c : CS.config) =
-  let* () = validate ~mech:w.mech ~scale:w.scale in
+  let* () = validate w in
   match w.mech with
-  | "ctx-switch" ->
+  | Ctx_switch ->
       let cswitch = c.CS.container_switch_ns and pswitch = c.CS.process_switch_ns in
       Ok
         {
@@ -90,28 +76,28 @@ let apply_cluster w (c : CS.config) =
             (fun ~runnable -> w.scale *. cswitch ~runnable);
           process_switch_ns = w.scale *. pswitch;
         }
-  | "net.hop" -> Ok { c with CS.client_rtt_ns = w.scale *. c.CS.client_rtt_ns }
-  | _ ->
+  | Net_hop -> Ok { c with CS.client_rtt_ns = w.scale *. c.CS.client_rtt_ns }
+  | Cpu | Syscall_entry | Syscall_work | Irq ->
       if Array.length c.CS.request_mech = 0 then
         Error
           (Printf.sprintf
              "mechanism %s needs per-stage pricing, but this config has no \
               request_mech rows (price it with config_of_platform)"
-             w.mech)
+             (Mechanism.to_string w.mech))
       else
-        let request_mech = Array.map (scale_rows w) c.CS.request_mech in
-        (* The same fold config_of_platform derives stage_cpu_ns with,
-           so scale 1 reproduces the original bytes. *)
-        let stage_cpu_ns =
-          Array.map
-            (List.fold_left (fun a (_, _, ns) -> a +. ns) 0.)
-            request_mech
+        let request_mech =
+          Array.map (Price.scale w.mech w.scale) c.CS.request_mech
         in
-        Ok { c with CS.request_mech; stage_cpu_ns }
+        Ok
+          {
+            c with
+            CS.request_mech;
+            stage_cpu_ns = Array.map Price.sum request_mech;
+          }
 
 let apply_cluster_all ws config =
   List.fold_left
-    (fun acc (mech, scale) ->
+    (fun acc w ->
       let* c = acc in
-      apply_cluster { mech; scale } c)
+      apply_cluster w c)
     (Ok config) ws

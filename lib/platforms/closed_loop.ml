@@ -14,7 +14,7 @@ type config = {
   duration_ns : float;
   warmup_ns : float;
   seed : int;
-  trace_mechanisms : (string * string * float) list;
+  trace_mechanisms : Price.row list;
   lb : Xc_lb.Policy.hedge option;
 }
 
@@ -182,10 +182,12 @@ let run_states config states =
                 let cursor = ref (start +. shift) in
                 let budget = finish +. shift in
                 List.iter
-                  (fun (cat, mname, ns) ->
-                    let d = Float.min ns (budget -. !cursor) in
+                  (fun (r : Price.row) ->
+                    let d = Float.min r.ns (budget -. !cursor) in
                     if d > 0. then begin
-                      Xc_trace.Trace.span ~at:!cursor ~cat ~name:mname d;
+                      Xc_trace.Trace.span ~at:!cursor
+                        ~cat:(Xc_trace.Mechanism.to_string r.mech)
+                        ~name:r.name d;
                       cursor := !cursor +. d
                     end)
                   config.trace_mechanisms;

@@ -20,12 +20,12 @@ type config = {
   duration_ns : float;
   warmup_ns : float;
   seed : int;
-  trace_mechanisms : (string * string * float) list;
+  trace_mechanisms : Price.row list;
       (** When tracing is enabled and this is non-empty, each measured
           request emits a {e bundle}: its [request] span plus synthetic
           mechanism child spans — the two half-RTT [net.hop]s, a
           [sched]/queue-wait span when the request queued, and these
-          [(cat, name, ns)] rows laid out serially over the service
+          {!Price.row}s laid out serially over the service
           window (clamped to the sampled service time).  Bundles are
           re-based onto a sequential lane past the end of the simulated
           timeline (concurrent requests overlap in real time, which

@@ -20,7 +20,7 @@ type config = {
   duration_ns : float;
   warmup_ns : float;
   seed : int;
-  request_mech : (string * string * float) list array;
+  request_mech : Price.row list array;
   lb : Xc_lb.Policy.hedge option;
 }
 
@@ -366,7 +366,8 @@ let run config =
                 end
               in
               Array.iter
-                (List.iter (fun (cat, mname, ns) -> emit cat mname ns))
+                (List.iter (fun (r : Price.row) ->
+                     emit (Xc_trace.Mechanism.to_string r.mech) r.name r.ns))
                 config.request_mech;
               if b.switch_ns > 0. then emit "ctx-switch" "sched" b.switch_ns;
               (* Hedge overhead: core time the losing clones burnt
@@ -776,23 +777,13 @@ let config_of_platform ?(containers = 4) ?(connections = 5) ?lb platform =
   (* All platform cost queries happen here, before any traced run —
      the queries themselves emit trace spans when tracing is enabled,
      which would pollute the capture and break request attribution. *)
-  let entry = Platform.syscall_entry_ns platform in
-  let mech_of (_, user, ops) =
-    let n = List.length ops in
-    let work =
-      List.fold_left
-        (fun acc op -> acc +. (Platform.syscall_ns platform op -. entry))
-        0. ops
-    in
-    [
-      ("cpu", "user", user);
-      ("syscall-entry", "entry", float_of_int n *. entry);
-      ("syscall-work", "kernel", work);
-    ]
-  in
-  let request_mech = Array.map mech_of stage_profiles in
-  let stage_cpu_ns =
-    Array.map (List.fold_left (fun a (_, _, ns) -> a +. ns) 0.) request_mech
+  let entry_ns = Platform.syscall_entry_ns platform in
+  let request_mech =
+    Array.map
+      (fun (_, user_ns, ops) ->
+        Price.syscall_rows ~user_ns ~entry_ns ~calls:(List.length ops)
+          ~work_ns:(Price.stage_work_ns platform ~entry_ns ops))
+      stage_profiles
   in
   let mode =
     if Platform.hierarchical_scheduling platform then Hierarchical else Flat
@@ -814,7 +805,7 @@ let config_of_platform ?(containers = 4) ?(connections = 5) ?lb platform =
     pcpus = 16;
     containers;
     connections_per_container = connections;
-    stage_cpu_ns;
+    stage_cpu_ns = Array.map Price.sum request_mech;
     processes_per_container;
     client_rtt_ns = 1e6;
     timeslice_ns = 1e6;

@@ -55,11 +55,11 @@ type config = {
   duration_ns : float;
   warmup_ns : float;
   seed : int;
-  request_mech : (string * string * float) list array;
+  request_mech : Price.row list array;
       (** When tracing is enabled and this is non-empty, each measured
           request emits a {e bundle}: its [request] span plus synthetic
           mechanism child spans — the two half-RTT [net.hop]s, per
-          stage these [(cat, name, ns)] rows laid out serially over the
+          stage these {!Price.row}s laid out serially over the
           window (clamped), and one exact [ctx-switch] row carrying the
           scheduler switch time the request was actually charged
           (per-dispatch switch spans are suppressed in this mode so the

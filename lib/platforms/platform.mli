@@ -12,7 +12,6 @@ val create : Config.t -> t
 val config : t -> Config.t
 val name : t -> string
 val kernel : t -> Xc_os.Kernel.t
-val xkernel : t -> Xc_hypervisor.Xkernel.t option
 
 (** {2 Costs} *)
 

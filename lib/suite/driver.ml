@@ -21,20 +21,15 @@ type row = {
   p99_ns : float;  (** NaN on the fluid tier *)
 }
 
-(* What-if service pricing: the recipe's per-mechanism rows with each
-   whatif axis applied, summed back to a deterministic service time.
-   Used on closed/open shapes whenever the spec carries what-ifs — so
-   a whatif spec's baseline is its [whatif.MECH = 1] sibling (same
-   decomposed pricing), not the bespoke per-app server model. *)
+(* What-if service pricing: the recipe's priced rows with each whatif
+   axis applied, summed back to a deterministic service time.  Used on
+   closed/open shapes whenever the spec carries what-ifs — so a whatif
+   spec's baseline is its [whatif.MECH = 1] sibling (same decomposed
+   pricing), not the bespoke per-app server model. *)
 let whatif_service (spec : Spec.t) platform recipe =
-  let rows = Xc_apps.Recipe.mechanisms platform recipe in
-  let rows =
-    List.fold_left
-      (fun rows (mech, scale) ->
-        Xc_obs.Whatif.scale_rows { Xc_obs.Whatif.mech; scale } rows)
-      rows spec.Spec.whatif
-  in
-  List.fold_left (fun a (_, _, ns) -> a +. ns) 0. rows
+  Xc_platforms.Price.sum
+    (Xc_obs.Whatif.scale_rows spec.Spec.whatif
+       (Xc_apps.Recipe.mechanisms platform recipe))
 
 let closed_result (spec : Spec.t) =
   let w = Workload.find_exn spec.workload in
@@ -78,23 +73,22 @@ let cluster_fidelity (spec : Spec.t) =
   | Spec.Fluid -> CS.Fluid
   | Spec.Mixed n -> CS.Mixed { sample_rate = n }
 
-let cluster_results (spec : Spec.t) =
+let cluster_config (spec : Spec.t) =
   let platform = Xc_platforms.Platform.create spec.platform in
+  {
+    (CS.config_of_platform ~containers:spec.load.containers
+       ~connections:spec.load.connections platform)
+    with
+    CS.duration_ns = Spec.duration_ns spec;
+    warmup_ns = Spec.warmup_ns spec;
+    seed = spec.seed;
+  }
+
+let cluster_results (spec : Spec.t) =
+  (* The config is priced, so a validated what-if cannot fail to apply
+     — an [Error] here is a logic bug. *)
   let base =
-    CS.config_of_platform ~containers:spec.load.containers
-      ~connections:spec.load.connections platform
-  in
-  let base =
-    {
-      base with
-      CS.duration_ns = Spec.duration_ns spec;
-      warmup_ns = Spec.warmup_ns spec;
-    }
-  in
-  (* The config is priced ([config_of_platform] above), so a validated
-     what-if cannot fail to apply — an [Error] here is a logic bug. *)
-  let base =
-    match Xc_obs.Whatif.apply_cluster_all spec.whatif base with
+    match Xc_obs.Whatif.apply_cluster_all spec.whatif (cluster_config spec) with
     | Ok c -> c
     | Error m -> invalid_arg (Printf.sprintf "Driver: %s: %s" spec.Spec.name m)
   in

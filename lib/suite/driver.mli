@@ -21,6 +21,11 @@ type row = {
 val closed_result : Spec.t -> Xc_platforms.Closed_loop.result
 val open_result : Spec.t -> Xc_platforms.Open_loop.result
 
+val cluster_config : Spec.t -> Xc_platforms.Cluster_sim.config
+(** A cluster spec's priced config ([config_of_platform] on its
+    platform, containers and connections; its window and seed), before
+    its what-ifs.  Call while tracing is disabled. *)
+
 val cluster_results : Spec.t -> Xc_platforms.Cluster_sim.result list
 (** One result per node, in node order. *)
 

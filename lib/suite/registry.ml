@@ -164,23 +164,25 @@ let causal =
     List.concat_map
       (fun rt ->
         List.map
-          (fun mech ->
+          (fun m ->
+            let mech = Xc_trace.Mechanism.to_string m in
             spec
               (Printf.sprintf "%s/%s" rt mech)
               (base @ [ ("runtime", rt); ("whatif." ^ mech, "0.7") ]))
-          [ "syscall-entry"; "ctx-switch"; "net.hop" ])
+          [ Syscall_entry; Ctx_switch; Net_hop ])
       causal_runtimes
   in
   let knee =
+    let mech = Xc_trace.Mechanism.(to_string Syscall_entry) in
     List.map
       (fun rt ->
         spec
-          (Printf.sprintf "%s/syscall-entry/knee" rt)
+          (Printf.sprintf "%s/%s/knee" rt mech)
           (base
           @ [
               ("runtime", rt);
               ("connections", "5");
-              ("whatif.syscall-entry", "0.7");
+              ("whatif." ^ mech, "0.7");
             ]))
       causal_runtimes
   in

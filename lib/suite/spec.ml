@@ -30,7 +30,7 @@ type t = {
   seed : int;
   fidelity : fidelity;
   capture : capture;
-  whatif : (string * float) list;
+  whatif : Xc_obs.Whatif.t list;
   params : (string * string) list;
 }
 
@@ -146,18 +146,7 @@ let cloud_of_string s =
         (Printf.sprintf "unknown cloud %S (%s)" s
            (String.concat ", " (List.map fst clouds)))
 
-(* Shortest decimal form that parses back to the identical float, so
-   print -> parse is the identity on every representable value. *)
-let float_to_string v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else
-    let rec go p =
-      if p > 17 then Printf.sprintf "%.17g" v
-      else
-        let s = Printf.sprintf "%.*g" p v in
-        if float_of_string s = v then s else go (p + 1)
-    in
-    go 1
+let float_to_string = Xc_obs.Whatif.float_to_string
 
 (* ------------------------------------------------------------------ *)
 (* Field table                                                         *)
@@ -182,6 +171,9 @@ let parse_bool key v =
 
 let ( let* ) = Result.bind
 let prefix_err key = Result.map_error (fun m -> "field " ^ key ^ ": " ^ m)
+
+let whatif_key (w : Xc_obs.Whatif.t) =
+  "whatif." ^ Xc_trace.Mechanism.to_string w.mech
 
 (* One (getter, setter) pair per typed field, in canonical print
    order.  [set_field]/[fields]/[print_fields] all walk this table, so
@@ -302,11 +294,12 @@ let set_field t key value =
         else Ok { t with params = t.params @ [ (pk, String.trim value) ] }
       else if String.length key > 7 && String.sub key 0 7 = "whatif." then
         let mech = String.sub key 7 (String.length key - 7) in
-        if List.mem_assoc mech t.whatif then err key "duplicate what-if"
+        if List.exists (fun w -> whatif_key w = key) t.whatif then
+          err key "duplicate what-if"
         else
           let* scale = parse_float key value in
-          let* () = prefix_err key (Xc_obs.Whatif.validate ~mech ~scale) in
-          Ok { t with whatif = t.whatif @ [ (mech, scale) ] }
+          let* w = prefix_err key (Xc_obs.Whatif.make ~mech ~scale) in
+          Ok { t with whatif = t.whatif @ [ w ] }
       else if key = "name" then
         err key "set by the [experiment NAME] section header"
       else
@@ -315,7 +308,9 @@ let set_field t key value =
 
 let fields t =
   List.map (fun (k, get, _) -> (k, get t)) field_table
-  @ List.map (fun (m, s) -> ("whatif." ^ m, float_to_string s)) t.whatif
+  @ List.map
+      (fun (w : Xc_obs.Whatif.t) -> (whatif_key w, float_to_string w.scale))
+      t.whatif
   @ List.map (fun (k, v) -> ("param." ^ k, v)) t.params
 
 let print_fields t =
@@ -427,11 +422,9 @@ let validate t =
   in
   let* () =
     List.fold_left
-      (fun acc (mech, scale) ->
+      (fun acc w ->
         let* () = acc in
-        prefix_err
-          ("whatif." ^ mech)
-          (Xc_obs.Whatif.validate ~mech ~scale))
+        prefix_err (whatif_key w) (Xc_obs.Whatif.validate w))
       (Ok ()) t.whatif
   in
   List.fold_left

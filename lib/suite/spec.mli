@@ -51,7 +51,7 @@ type t = {
   seed : int;
   fidelity : fidelity;
   capture : capture;
-  whatif : (string * float) list;
+  whatif : Xc_obs.Whatif.t list;
       (** [whatif.MECH = SCALE] virtual-speedup axes, in file order:
           the named mechanism's priced cost is scaled before the run
           ({!Xc_obs.Whatif}).  Validated against the mechanism

@@ -13,6 +13,8 @@ module Trace = Xc_trace.Trace
 module CP = Xc_obs.Critical_path
 module Whatif = Xc_obs.Whatif
 module Causal = Xc_obs.Causal
+module Mechanism = Xc_trace.Mechanism
+module Price = Xc_platforms.Price
 module CS = Xc_platforms.Cluster_sim
 module M = Xc_sim.Metrics
 
@@ -260,22 +262,64 @@ let test_whatif_parse () =
   (match Whatif.parse "frobnicate x2" with
   | Error e -> Alcotest.(check bool) "names the mechanism" true (contains e "frobnicate")
   | Ok _ -> Alcotest.fail "unknown mechanism accepted");
-  (match Whatif.validate ~mech:"cpu" ~scale:11. with
+  (match Whatif.validate { Whatif.mech = Cpu; scale = 11. } with
   | Error e -> Alcotest.(check bool) "names the range" true (contains e "[0, 10]")
   | Ok () -> Alcotest.fail "scale 11 accepted");
-  (match Whatif.validate ~mech:"cpu" ~scale:Float.nan with
+  (match Whatif.validate { Whatif.mech = Cpu; scale = Float.nan } with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "NaN scale accepted");
   Alcotest.(check (result unit string)) "bounds are inclusive" (Ok ())
-    (Whatif.validate ~mech:"net.hop" ~scale:0.)
+    (Whatif.validate { Whatif.mech = Net_hop; scale = 0. })
 
 let test_whatif_scale_rows () =
-  let rows = [ ("cpu", "user", 10.); ("syscall-entry", "entry", 4.) ] in
-  let scaled = Whatif.scale_rows { Whatif.mech = "cpu"; scale = 0.5 } rows in
-  Alcotest.(check (list (triple string string (float 1e-9))))
-    "only the named category scales"
-    [ ("cpu", "user", 5.); ("syscall-entry", "entry", 4.) ]
-    scaled
+  let row mech name ns = { Price.mech; name; ns } in
+  let rows = [ row Cpu "user" 10.; row Syscall_entry "entry" 4. ] in
+  let scaled = Whatif.scale_rows [ { Whatif.mech = Cpu; scale = 0.5 } ] rows in
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "only the named mechanism scales"
+    [ ("user", 5.); ("entry", 4.) ]
+    (List.map (fun (r : Price.row) -> (r.name, r.ns)) scaled)
+
+(* Hostile input: arbitrary strings, and strings spliced from the
+   grammar's own pieces so mechanism names, separators and odd float
+   spellings collide.  Both parsers must answer Ok or Error — never
+   raise — and an Ok what-if is always a valid one. *)
+let whatif_parse_total =
+  let piece =
+    QCheck.Gen.(
+      oneof
+        [
+          string_size ~gen:printable (int_range 0 6);
+          oneofl (List.map Mechanism.to_string Mechanism.all);
+          oneofl
+            [ " x"; " "; "x"; ":"; "="; "-1"; "0.7"; "10"; "1e400"; "nan";
+              "inf"; "0x1p3"; "_"; "\t"; "\000" ];
+        ])
+  in
+  QCheck.Test.make ~name:"what-if parsers are total" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         oneof
+           [
+             string_size (int_range 0 24);
+             map (String.concat "") (list_size (int_range 0 5) piece);
+           ]))
+    (fun s ->
+      (match Mechanism.of_string s with Ok _ | Error _ -> ());
+      match Whatif.parse s with
+      | Error _ -> true
+      | Ok w -> Whatif.validate w = Ok ())
+
+let whatif_round_trip =
+  QCheck.Test.make ~name:"what-if to_string/parse round-trip" ~count:1000
+    (QCheck.make
+       ~print:(fun (w : Whatif.t) -> Whatif.to_string w)
+       QCheck.Gen.(
+         map2
+           (fun mech scale -> { Whatif.mech; scale })
+           (oneofl Mechanism.all)
+           (oneof [ float_range 0. Whatif.max_scale; oneofl [ 0.; 1.; 10. ] ])))
+    (fun w -> Whatif.parse (Whatif.to_string w) = Ok w)
 
 (* Scale 1.0 must reproduce the original run bit for bit: apply_cluster
    re-derives the per-stage service sums with the same fold
@@ -295,17 +339,18 @@ let test_whatif_identity () =
   in
   List.iter
     (fun mech ->
+      let name = Mechanism.to_string mech in
       match Whatif.apply_cluster { Whatif.mech; scale = 1. } base with
-      | Error e -> Alcotest.failf "identity %s: %s" mech e
+      | Error e -> Alcotest.failf "identity %s: %s" name e
       | Ok c ->
           let r0 = CS.run base and r1 = CS.run c in
           Alcotest.(check (float 0.))
-            (Printf.sprintf "identity %s: same throughput" mech)
+            (Printf.sprintf "identity %s: same throughput" name)
             r0.CS.throughput_rps r1.CS.throughput_rps;
           Alcotest.(check (float 0.))
-            (Printf.sprintf "identity %s: same mean" mech)
+            (Printf.sprintf "identity %s: same mean" name)
             r0.CS.mean_latency_ns r1.CS.mean_latency_ns)
-    Whatif.mechanisms
+    Mechanism.all
 
 (* ---------------- prediction vs rerun ---------------- *)
 
@@ -326,7 +371,9 @@ let test_predict_vs_rerun () =
     }
   in
   let target = { Causal.label = "docker/c1"; config } in
-  match Causal.run_point target ~mech:"syscall-entry" ~scale:0.7 with
+  match
+    Causal.run_point target { Whatif.mech = Syscall_entry; scale = 0.7 }
+  with
   | Error e -> Alcotest.fail e
   | Ok (b, pt) ->
       Alcotest.(check bool) "baseline attributed requests" true
@@ -372,8 +419,13 @@ let test_sweep_deterministic () =
   in
   let run jobs =
     match
-      Causal.sweep ~jobs ~targets ~mechs:[ "syscall-entry"; "ctx-switch" ]
-        ~scales:[ 0.7 ] ()
+      Causal.sweep ~jobs ~targets
+        ~whatifs:
+          [
+            { Whatif.mech = Syscall_entry; scale = 0.7 };
+            { Whatif.mech = Ctx_switch; scale = 0.7 };
+          ]
+        ()
     with
     | Error e -> Alcotest.fail e
     | Ok (_, points) -> (Causal.render_points points, Causal.points_csv points)
@@ -395,7 +447,8 @@ let test_grid_fails_fast () =
   let stripped = { config with CS.request_mech = [||] } in
   match
     Causal.sweep ~targets:[ { Causal.label = "stripped"; config = stripped } ]
-      ~mechs:[ "cpu" ] ~scales:[ 0.5 ] ()
+      ~whatifs:[ { Whatif.mech = Cpu; scale = 0.5 } ]
+      ()
   with
   | Error e ->
       Alcotest.(check bool) "error names the target and mechanism" true
@@ -468,6 +521,8 @@ let suites =
         Alcotest.test_case "scale_rows" `Quick test_whatif_scale_rows;
         Alcotest.test_case "identity scale" `Quick test_whatif_identity;
         Alcotest.test_case "grid fails fast" `Quick test_grid_fails_fast;
+        QCheck_alcotest.to_alcotest whatif_parse_total;
+        QCheck_alcotest.to_alcotest whatif_round_trip;
       ] );
     ( "causal-predict",
       [

@@ -11,6 +11,7 @@ module Config = Xc_platforms.Config
 module Platform = Xc_platforms.Platform
 module CS = Xc_platforms.Cluster_sim
 module Recipe = Xc_apps.Recipe
+module Price = Xc_platforms.Price
 
 let runtimes =
   Config.
@@ -46,7 +47,10 @@ let cloud_str = function
 
 let render_rows b rows =
   List.iter
-    (fun (cat, name, ns) -> Printf.bprintf b "  %s/%s %h\n" cat name ns)
+    (fun (r : Price.row) ->
+      Printf.bprintf b "  %s/%s %h\n"
+        (Xc_trace.Mechanism.to_string r.mech)
+        r.name r.ns)
     rows
 
 let render_config b (config : Config.t) =
@@ -87,5 +91,36 @@ let test_pinned () =
   Alcotest.(check string) "pricing digest" pinned_digest
     (Digest.to_hex (Digest.string (rendering ())))
 
+(* Why [Price] keeps two syscall-work roundings: on Docker's php-fpm
+   stage, subtracting the entry cost once from the summed op prices
+   (recipes) and subtracting it per op (cluster stages) disagree in the
+   last bits — and committed references hash both. *)
+let test_two_roundings () =
+  let module K = Xc_os.Kernel in
+  let rep n ops = List.concat (List.init n (fun _ -> ops)) in
+  let php_fpm =
+    rep 16 [ K.Stat_op; K.Open_op; K.File_read 4096; K.Cheap Close ]
+    @ rep 8 [ K.Socket_send 512; K.Socket_recv 512 ]
+  in
+  let platform = Platform.create (Config.make Config.Docker) in
+  let entry_ns = Platform.syscall_entry_ns platform in
+  let recipe = Price.recipe_work_ns ~coverage:1. platform ~entry_ns php_fpm in
+  let stage = Price.stage_work_ns platform ~entry_ns php_fpm in
+  let priced =
+    List.find
+      (fun (r : Price.row) -> r.mech = Syscall_work)
+      (CS.config_of_platform platform).CS.request_mech.(1)
+  in
+  Alcotest.(check string) "the stage rounding is the cluster's php-fpm row"
+    (Printf.sprintf "%h" priced.ns) (Printf.sprintf "%h" stage);
+  Alcotest.(check bool) "the two roundings differ" true (recipe <> stage);
+  Alcotest.(check (float 1e-9)) "...only in the last bits" recipe stage
+
 let suites =
-  [ ("price", [ Alcotest.test_case "pinned grid digest" `Quick test_pinned ]) ]
+  [
+    ( "price",
+      [
+        Alcotest.test_case "pinned grid digest" `Quick test_pinned;
+        Alcotest.test_case "two work roundings" `Quick test_two_roundings;
+      ] );
+  ]

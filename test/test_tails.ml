@@ -447,11 +447,14 @@ let test_closed_loop_mechanisms () =
   let recipe = Xc_apps.Nginx.static_request_wrk in
   let mechs = Xc_apps.Recipe.mechanisms platform recipe in
   let service = Xc_apps.Recipe.service_ns platform recipe in
-  let mech_sum = List.fold_left (fun a (_, _, ns) -> a +. ns) 0. mechs in
+  let mech_sum = Xc_platforms.Price.sum mechs in
   Alcotest.(check (float (1e-6 *. service)))
     "mechanism rows sum to the recipe service time" service mech_sum;
   Alcotest.(check bool) "rows include the entry path" true
-    (List.exists (fun (c, _, ns) -> c = "syscall-entry" && ns > 0.) mechs);
+    (List.exists
+       (fun (r : Xc_platforms.Price.row) ->
+         r.mech = Xc_trace.Mechanism.Syscall_entry && r.ns > 0.)
+       mechs);
   let cl_config =
     {
       Xc_platforms.Closed_loop.default_config with
