@@ -12,7 +12,7 @@ let charge t ?label ns =
   (match label with Some l -> Xc_sim.Metrics.incr t.metrics l | None -> ());
   Xc_sim.Metrics.counter_add ~cat:"cpu" ~name:"busy-ns" ns;
   if Xc_trace.Trace.enabled () then
-    Xc_trace.Trace.span ~cat:"cpu"
+    Xc_trace.Trace.span ~cat:Xc_trace.Mechanism.(to_string Cpu)
       ~name:(match label with Some l -> l | None -> "busy")
       ns
 

@@ -68,7 +68,7 @@ let switch_cost_ns ~runnable_vcpus =
     +. (Xc_cpu.Costs.runqueue_ns_per_task *. float_of_int runnable_vcpus)
   in
   if Xc_trace.Trace.enabled () then
-    Xc_trace.Trace.span ~cat:"ctx-switch" ~name:"vcpu" ns;
+    Xc_trace.Trace.span ~cat:Xc_trace.Mechanism.(to_string Ctx_switch) ~name:"vcpu" ns;
   ns
 
 let fairness_ratio t =

@@ -42,7 +42,7 @@ let message_cost_ns hops ~bytes_len ~mss =
   if Xc_trace.Trace.enabled () then
     List.iter
       (fun hop ->
-        Xc_trace.Trace.span ~cat:"net.hop" ~name:(hop_name hop)
+        Xc_trace.Trace.span ~cat:Xc_trace.Mechanism.(to_string Net_hop) ~name:(hop_name hop)
           (float_of_int n *. hop_cost_ns hop ~bytes_len:per_packet_len))
       hops;
   float_of_int n *. path_cost_ns hops ~bytes_len:per_packet_len

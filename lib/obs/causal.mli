@@ -70,12 +70,9 @@ val measure_baseline : CS.config -> baseline
     [request_mech] pricing) the attribution comes back empty and
     predictions degenerate to the baseline. *)
 
-val predict : baseline -> Whatif.t -> prediction
-(** The linear-share prediction above.  A mechanism with no
-    attributed time predicts no change. *)
-
 val point : label:string -> baseline -> Whatif.t -> CS.result -> point
-(** A rerun result beside its baseline and {!predict}ion. *)
+(** A rerun result beside its baseline and the linear-share prediction
+    above.  A mechanism with no attributed time predicts no change. *)
 
 val run_point : target -> Whatif.t -> (baseline * point, string) result
 (** Sequential single point: traced baseline, prediction, re-priced

@@ -163,7 +163,7 @@ let syscall_work_ns t op =
   in
   Xc_sim.Metrics.counter_incr ~cat:"os" ~name:"syscalls";
   if Xc_trace.Trace.enabled () then
-    Xc_trace.Trace.span ~cat:"syscall-work" ~name:(op_name op) ns;
+    Xc_trace.Trace.span ~cat:Xc_trace.Mechanism.(to_string Syscall_work) ~name:(op_name op) ns;
   ns
 
 let context_switch_cost_ns t =
@@ -182,5 +182,5 @@ let context_switch_cost_ns t =
     else base +. Costs.tlb_refill_kernel_ns
   in
   if Xc_trace.Trace.enabled () then
-    Xc_trace.Trace.span ~cat:"ctx-switch" ~name:"process" ns;
+    Xc_trace.Trace.span ~cat:Xc_trace.Mechanism.(to_string Ctx_switch) ~name:"process" ns;
   ns

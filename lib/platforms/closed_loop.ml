@@ -174,7 +174,7 @@ let run_states config states =
               if bundle then begin
                 let half = config.rtt_ns /. 2. in
                 if half > 0. then
-                  Xc_trace.Trace.span ~at:(sent_at +. shift) ~cat:"net.hop"
+                  Xc_trace.Trace.span ~at:(sent_at +. shift) ~cat:Xc_trace.Mechanism.(to_string Net_hop)
                     ~name:"client->server" half;
                 if start -. arrival > 0. then
                   Xc_trace.Trace.span ~at:(arrival +. shift) ~cat:"sched"
@@ -207,7 +207,7 @@ let run_states config states =
                   end
                 end;
                 if half > 0. then
-                  Xc_trace.Trace.span ~at:(finish +. shift) ~cat:"net.hop"
+                  Xc_trace.Trace.span ~at:(finish +. shift) ~cat:Xc_trace.Mechanism.(to_string Net_hop)
                     ~name:"server->client" half
               end
             end

@@ -354,7 +354,7 @@ let run config =
             if bundle then begin
               let half = config.client_rtt_ns /. 2. in
               if half > 0. then
-                Xc_trace.Trace.span ~at:(b.sent_at +. shift) ~cat:"net.hop"
+                Xc_trace.Trace.span ~at:(b.sent_at +. shift) ~cat:Xc_trace.Mechanism.(to_string Net_hop)
                   ~name:"client->server" half;
               let cursor = ref (b.sent_at +. shift +. half) in
               let budget = now' +. shift -. half in
@@ -369,7 +369,7 @@ let run config =
                 (List.iter (fun (r : Price.row) ->
                      emit (Xc_trace.Mechanism.to_string r.mech) r.name r.ns))
                 config.request_mech;
-              if b.switch_ns > 0. then emit "ctx-switch" "sched" b.switch_ns;
+              if b.switch_ns > 0. then emit Xc_trace.Mechanism.(to_string Ctx_switch) "sched" b.switch_ns;
               (* Hedge overhead: core time the losing clones burnt
                  before cancellation, clamped like every other row (it
                  accrues on other backends in parallel, so it can
@@ -383,7 +383,7 @@ let run config =
                     (Float.max cs.hedge_ns 1.)
               | _ -> ());
               if half > 0. then
-                Xc_trace.Trace.span ~at:(now' +. shift -. half) ~cat:"net.hop"
+                Xc_trace.Trace.span ~at:(now' +. shift -. half) ~cat:Xc_trace.Mechanism.(to_string Net_hop)
                   ~name:"server->client" half
             end
           end
@@ -552,7 +552,7 @@ let run config =
               && Array.length config.request_mech = 0
               && Xc_trace.Trace.enabled ()
             then
-              Xc_trace.Trace.span ~at:now ~cat:"ctx-switch" ~name:!switch_kind
+              Xc_trace.Trace.span ~at:now ~cat:Xc_trace.Mechanism.(to_string Ctx_switch) ~name:!switch_kind
                 switch_cost;
             core.last_container <- b.container;
             core.last_process <- b.process;

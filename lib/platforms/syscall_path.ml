@@ -1,5 +1,6 @@
 module Costs = Xc_cpu.Costs
 module Trace = Xc_trace.Trace
+module Mechanism = Xc_trace.Mechanism
 module Mode = Xc_cpu.Mode
 
 let kpti_ns = (2. *. Costs.kpti_transition_ns) +. Costs.kpti_tlb_side_ns
@@ -74,7 +75,7 @@ let trace_pv_forward_modes () =
   Mode.record_switch ~from_:Mode.Hypervisor ~to_:Mode.Guest_user ()
 
 let trace_entry (c : Config.t) ns =
-  Trace.span ~cat:"syscall-entry" ~name:(entry_mechanism c) ns;
+  Trace.span ~cat:Mechanism.(to_string Syscall_entry) ~name:(entry_mechanism c) ns;
   match c.runtime with
   | Docker | Xen_hvm | Xen_pv | Gvisor | Clear_container | Graphene ->
       trace_trap_modes ()
@@ -92,9 +93,9 @@ let effective_entry_ns (c : Config.t) ~abom_coverage =
         (* The blend becomes two spans: the patched-site function call
            and the residual forwarded share (with its ring crossings),
            so coverage is visible in the artifact. *)
-        if f > 0. then Trace.span ~cat:"syscall-entry" ~name:"abom-call" fast;
+        if f > 0. then Trace.span ~cat:Mechanism.(to_string Syscall_entry) ~name:"abom-call" fast;
         if f < 1. then begin
-          Trace.span ~cat:"syscall-entry" ~name:"xc-forwarded" forwarded;
+          Trace.span ~cat:Mechanism.(to_string Syscall_entry) ~name:"xc-forwarded" forwarded;
           trace_pv_forward_modes ()
         end
       end;
@@ -126,7 +127,7 @@ let interrupt_ns (c : Config.t) =
         +. if c.meltdown_patched then 2. *. Costs.kpti_transition_ns else 0.
   in
   if Trace.enabled () then
-    Trace.span ~cat:"irq" ~name:(interrupt_mechanism c) ns;
+    Trace.span ~cat:Mechanism.(to_string Irq) ~name:(interrupt_mechanism c) ns;
   ns
 
 let graphene_ipc_fraction_multiproc = 0.12

@@ -275,10 +275,12 @@ let test_whatif_scale_rows () =
   let row mech name ns = { Price.mech; name; ns } in
   let rows = [ row Cpu "user" 10.; row Syscall_entry "entry" 4. ] in
   let scaled = Whatif.scale_rows [ { Whatif.mech = Cpu; scale = 0.5 } ] rows in
-  Alcotest.(check (list (pair string (float 1e-9))))
+  Alcotest.(check (list (triple string string (float 1e-9))))
     "only the named mechanism scales"
-    [ ("user", 5.); ("entry", 4.) ]
-    (List.map (fun (r : Price.row) -> (r.name, r.ns)) scaled)
+    [ ("cpu", "user", 5.); ("syscall-entry", "entry", 4.) ]
+    (List.map
+       (fun (r : Price.row) -> (Mechanism.to_string r.mech, r.name, r.ns))
+       scaled)
 
 (* Hostile input: arbitrary strings, and strings spliced from the
    grammar's own pieces so mechanism names, separators and odd float
