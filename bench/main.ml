@@ -85,15 +85,16 @@ let print_table t = print_string (T.render t)
 let section title =
   printf "\n%s\n%s\n\n" title (String.make (String.length title) '#')
 
-(* An experiment is either one unsplittable thunk or a set of
-   independent cells (shards) plus a printer over their index-ordered
-   results.  Cells are the unit the work-stealing pool schedules, so
-   the big sweeps (fig3, macro-extra, latency) no longer serialize the
-   whole bench behind one worker; the printer runs in the deterministic
-   merge phase, so output is byte-identical at any --jobs. *)
-type body =
-  | Whole of (unit -> unit)
-  | Cells : { shards : (unit -> 'b) array; print : 'b array -> unit } -> body
+(* An experiment is a set of independent cells (shards) plus a printer
+   over their index-ordered results; an unsplittable one is a single
+   cell ({!whole}).  Cells are the unit the work-stealing pool
+   schedules, so the big sweeps (fig3, macro-extra, latency) no longer
+   serialize the whole bench behind one worker; the printer runs in the
+   deterministic merge phase, so output is byte-identical at any
+   --jobs. *)
+type body = Cells : { shards : (unit -> 'b) array; print : 'b array -> unit } -> body
+
+let whole f = Cells { shards = [| f |]; print = ignore }
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -1549,9 +1550,9 @@ let cluster_scale = make_cluster_scale (reg_suite "cluster-scale")
 (* ------------------------------------------------------------------ *)
 (* Causal what-if profiler (extension): per causal-point spec, predict
    the virtual speedup from the traced baseline's attribution and
-   validate it against an actually re-priced rerun.  One [Whole] body
+   validate it against an actually re-priced rerun.  One [whole] body
    on purpose: the baselines flip the process-wide trace flag
-   ([Causal.with_tracing]), so they must not run concurrently with
+   ([Capture.with_capture]), so they must not run concurrently with
    cells that assume the flag is stable — and the whole grid is cheap
    (100 ms windows at 1-5 connections). *)
 
@@ -1597,13 +1598,13 @@ let make_causal (suite : Suite.t) =
     let _, _, c, _, _ = List.find (fun (_, tl, _, _, _) -> tl = t) cells in
     c
   in
-  Whole
+  whole
     (fun () ->
       section
         "Causal what-if profiler: virtual speedups, predicted vs rerun \
          (extension)";
       let baselines =
-        Causal.with_tracing (fun () ->
+        Xc_sim.Capture.with_capture ~trace:true ~capacity:(1 lsl 18) (fun () ->
             List.map (fun t -> (t, Causal.measure_baseline (config_of t))) targets)
       in
       List.iter
@@ -1635,28 +1636,28 @@ let causal = make_causal (reg_suite "causal")
 
 let all_experiments =
   [
-    ("table1", Whole table1);
+    ("table1", whole table1);
     ("fig3", fig3);
-    ("fig4", Whole fig4);
-    ("fig5", Whole fig5);
-    ("fig6", Whole fig6);
-    ("fig8", Whole fig8);
-    ("fig9", Whole fig9);
-    ("boot", Whole boot);
-    ("ablation", Whole ablation);
-    ("fig8sim", Whole fig8sim);
-    ("security", Whole security);
-    ("migration", Whole migration);
-    ("clone", Whole clone);
+    ("fig4", whole fig4);
+    ("fig5", whole fig5);
+    ("fig6", whole fig6);
+    ("fig8", whole fig8);
+    ("fig9", whole fig9);
+    ("boot", whole boot);
+    ("ablation", whole ablation);
+    ("fig8sim", whole fig8sim);
+    ("security", whole security);
+    ("migration", whole migration);
+    ("clone", whole clone);
     ("latency", latency);
-    ("coldstart", Whole coldstart);
+    ("coldstart", whole coldstart);
     ("macro-extra", macro_extra);
-    ("build-bench", Whole build_bench);
-    ("density", Whole density);
+    ("build-bench", whole build_bench);
+    ("density", whole density);
     ("hedging", hedging);
     ("cluster-scale", cluster_scale);
     ("causal", causal);
-    ("csv", Whole csv);
+    ("csv", whole csv);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1763,10 +1764,10 @@ let smoke_experiments =
     (fun n -> (n, List.assoc n all_experiments))
     Registry.smoke_cheap
   @ [
-      ("table1-smoke", Whole table1_smoke);
+      ("table1-smoke", whole table1_smoke);
       ("macro-smoke", macro_smoke);
-      ("latency-smoke", Whole latency_smoke);
-      ("fig8sim-smoke", Whole fig8sim_smoke);
+      ("latency-smoke", whole latency_smoke);
+      ("fig8sim-smoke", whole fig8sim_smoke);
       ("cluster-smoke", cluster_smoke);
     ]
 
@@ -1796,108 +1797,28 @@ let () =
 (* ------------------------------------------------------------------ *)
 (* The parallel experiment runner and the machine-readable artifact.   *)
 
-type outcome = {
-  name : string;
-  output : string;
-  wall_s : float;
-  events : int;
-  trace : Xc_trace.Trace.captured;
-  telemetry : Xc_sim.Metrics.telemetry;
-}
+module Capture = Xc_sim.Capture
 
-(* Runs one experiment with its output captured in the domain-local
-   buffer and its event count read off the domain counter (experiments
-   build their engines internally, so the per-domain cumulative counter
-   is the only way to attribute events to the experiment).  The trace
-   capture gives each experiment its own buffer and cursor starting at
-   0, so the per-experiment track is independent of which domain — and
-   after what history — ran it. *)
-let instrument (name, f) () =
+(* [f ()] and what it printed, from a cleared domain-local buffer. *)
+let printing f =
   let buf = out () in
   Buffer.clear buf;
-  let events0 = Xc_sim.Engine.domain_events () in
-  let t0 = Unix.gettimeofday () in
-  let ((), trace), telemetry =
-    Xc_sim.Metrics.capture (fun () -> Xc_trace.Trace.capture f)
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let events = Xc_sim.Engine.domain_events () - events0 in
-  { name; output = Buffer.contents buf; wall_s; events; trace; telemetry }
+  let v = f () in
+  (v, Buffer.contents buf)
 
-(* The per-cell analogue of an {!outcome}: what one shard of a [Cells]
-   experiment measured, before the merge phase assembles the pieces. *)
-type 'b piece = {
-  p_data : 'b;
-  p_out : string;
-  p_wall : float;
-  p_events : int;
-  p_trace : Xc_trace.Trace.captured;
-  p_tel : Xc_sim.Metrics.telemetry;
-}
-
-let instrument_cell f () =
-  let buf = out () in
-  Buffer.clear buf;
-  let events0 = Xc_sim.Engine.domain_events () in
-  let t0 = Unix.gettimeofday () in
-  let (p_data, p_trace), p_tel =
-    Xc_sim.Metrics.capture (fun () -> Xc_trace.Trace.capture f)
-  in
-  let p_wall = Unix.gettimeofday () -. t0 in
-  {
-    p_data;
-    p_out = Buffer.contents buf;
-    p_wall;
-    p_events = Xc_sim.Engine.domain_events () - events0;
-    p_trace;
-    p_tel;
-  }
-
-(* A [Whole] experiment is one shard; a [Cells] experiment hands every
-   cell to the pool and assembles the outcome in the (deterministic,
-   index-ordered) merge phase: outputs concatenate, wall/events sum,
-   traces concatenate with rebased cursors, telemetry merges.  The
-   printer runs against a cleared buffer so its tables land after any
-   output the cells themselves produced. *)
-let shard_of_experiment (name, body) : outcome Xc_sim.Parallel.Shard.t =
-  match body with
-  | Whole f -> Xc_sim.Parallel.Shard.thunk (instrument (name, f))
-  | Cells { shards; print } ->
-      Xc_sim.Parallel.Shard.make
-        ~shards:(Array.map instrument_cell shards)
-        ~merge:(fun pieces ->
-          let buf = out () in
-          Buffer.clear buf;
-          print (Array.map (fun p -> p.p_data) pieces);
-          let printed = Buffer.contents buf in
-          {
-            name;
-            output =
-              String.concat ""
-                (Array.to_list (Array.map (fun p -> p.p_out) pieces))
-              ^ printed;
-            wall_s = Array.fold_left (fun a p -> a +. p.p_wall) 0. pieces;
-            events = Array.fold_left (fun a p -> a + p.p_events) 0 pieces;
-            trace =
-              Xc_trace.Trace.concat
-                (Array.to_list (Array.map (fun p -> p.p_trace) pieces));
-            telemetry =
-              Array.fold_left
-                (fun a p -> Xc_sim.Metrics.merge_telemetry a p.p_tel)
-                Xc_sim.Metrics.empty_telemetry pieces;
-          })
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* Every cell is measured on whichever domain the pool hands it to; the
+   (deterministic, index-ordered) merge phase assembles the outcome:
+   the cells' outputs, then the printer's, with wall/events summed,
+   traces concatenated and telemetry merged. *)
+let shard_of_experiment (name, Cells { shards; print }) =
+  Xc_sim.Parallel.Shard.make
+    ~shards:(Array.map (fun f () -> Capture.measure (fun () -> printing f)) shards)
+    ~merge:(fun pieces ->
+      let run = Capture.merge (Array.to_list pieces) in
+      let (), printed =
+        printing (fun () -> print (Array.of_list (List.map fst run.value)))
+      in
+      (name, { run with value = String.concat "" (List.map snd run.value) ^ printed }))
 
 (* Run metadata: which commit produced this artifact.  Best-effort —
    "unknown" outside a git checkout (e.g. the dune sandbox of a
@@ -1945,170 +1866,80 @@ let spec_of name =
       else None
 
 let write_bench_json ~jobs ~trace_out ~wall_s outcomes =
-  let oc = open_out "BENCH_sim.json" in
-  let total_events = List.fold_left (fun acc o -> acc + o.events) 0 outcomes in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"xcontainers-bench/3\",\n";
-  Printf.fprintf oc "  \"schema_version\": 3,\n";
-  Printf.fprintf oc "  \"git\": \"%s\",\n" (json_escape (git_describe ()));
-  (* The closed-loop default seed: the one PRNG root every stochastic
-     experiment derives from (see docs/PERF.md). *)
-  Printf.fprintf oc "  \"seed\": %d,\n"
-    Xc_platforms.Closed_loop.default_config.seed;
-  Printf.fprintf oc "  \"trace\": %s,\n"
-    (match trace_out with
-    | None -> "null"
-    | Some path -> Printf.sprintf "\"%s\"" (json_escape path));
-  Printf.fprintf oc "  \"jobs\": %d,\n" jobs;
-  Printf.fprintf oc "  \"total_wall_s\": %.6f,\n" wall_s;
-  Printf.fprintf oc "  \"total_events\": %d,\n" total_events;
-  Printf.fprintf oc "  \"events_per_sec\": %.1f,\n"
-    (if wall_s > 0. then float_of_int total_events /. wall_s else 0.);
-  Printf.fprintf oc "  \"experiments\": [\n";
-  List.iteri
-    (fun i o ->
-      let spec =
-        match spec_of o.name with
-        | None -> ""
-        | Some text -> Printf.sprintf ", \"spec\": \"%s\"" (json_escape text)
-      in
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"wall_s\": %.6f, \"events\": %d, \"events_per_sec\": %.1f%s}%s\n"
-        (json_escape o.name) o.wall_s o.events
-        (if o.wall_s > 0. then float_of_int o.events /. o.wall_s else 0.)
-        spec
-        (if i = List.length outcomes - 1 then "" else ","))
-    outcomes;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+  let text =
+    Xc_sim.Bench_json.to_string ~git:(git_describe ())
+      ~seed:Xc_platforms.Closed_loop.default_config.seed ~trace:trace_out ~jobs
+      ~wall_s
+      (List.map
+         (fun (name, (o : _ Capture.measured)) ->
+           Xc_sim.Bench_json.experiment ?spec:(spec_of name) ~name
+             ~wall_s:o.wall_s o.events)
+         outcomes)
+  in
+  Out_channel.with_open_bin "BENCH_sim.json" (fun oc -> output_string oc text)
 
 let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
     ~perfetto_out ~alert_rules experiments =
+  let t0 = Unix.gettimeofday () in
   (* --perfetto wants both halves (spans and counter tracks); --alerts
      needs the snapshot series the rules are checked against. *)
-  if trace_out <> None || perfetto_out <> None then
-    Xc_trace.Trace.enable ~sample ();
-  if timeseries_out <> None || perfetto_out <> None || alert_rules <> [] then
-    Xc_sim.Metrics.enable ~interval_ns:(float_of_int interval_us *. 1e3) ();
-  let t0 = Unix.gettimeofday () in
   let outcomes =
-    Xc_sim.Parallel.run_sharded ~jobs (List.map shard_of_experiment experiments)
+    Capture.with_capture
+      ~trace:(trace_out <> None || perfetto_out <> None)
+      ~sample
+      ~metrics:(timeseries_out <> None || perfetto_out <> None || alert_rules <> [])
+      ~interval_ns:(float_of_int interval_us *. 1e3)
+      (fun () ->
+        Xc_sim.Parallel.run_sharded ~jobs (List.map shard_of_experiment experiments))
   in
   let wall_s = Unix.gettimeofday () -. t0 in
-  List.iter (fun o -> Stdlib.print_string o.output) outcomes;
+  List.iter (fun (_, (o : _ Capture.measured)) -> Stdlib.print_string o.value) outcomes;
   write_bench_json ~jobs ~trace_out ~wall_s outcomes;
-  (match timeseries_out with
-  | None -> ()
-  | Some path ->
-      (* One track per experiment, counter events on the sim clock; CSV
-         or Chrome JSON by extension.  Each experiment's telemetry was
-         captured against a fresh registry, so the file is byte-identical
-         at any --jobs (tier-1 cmps it). *)
-      let tracks =
-        List.map
-          (fun o -> (o.name, Xc_sim.Metrics.to_trace_events o.telemetry))
-          outcomes
-      in
-      Xc_trace.Export.to_file ~path tracks;
-      let snaps =
-        List.fold_left
-          (fun a o -> a + List.length o.telemetry.Xc_sim.Metrics.snapshots)
-          0 outcomes
-      in
+  (* Every artifact has one track per experiment, each captured against
+     a fresh recorder and registry, so all are byte-identical at any
+     --jobs (tier-1 cmps them). *)
+  Option.iter
+    (fun path ->
+      let snaps = Capture.write_timeseries ~path outcomes in
       Printf.eprintf
         "[bench] wrote %s (%d snapshot(s) at %dus across %d experiment(s))\n%!"
-        path snaps interval_us (List.length outcomes));
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-      let tracks =
-        List.map (fun o -> (o.name, o.trace.Xc_trace.Trace.events)) outcomes
-      in
-      let dropped =
-        List.fold_left
-          (fun acc o -> acc + o.trace.Xc_trace.Trace.dropped)
-          0 outcomes
-      in
-      Xc_trace.Export.to_file ~dropped ~path tracks;
-      (* Flamegraph sidecar: same tracks, collapsed-stack format, same
-         byte-identical-at-any-jobs contract (tier-1 cmps it too). *)
-      let folded_path = Filename.remove_extension path ^ ".folded" in
-      Xc_trace.Export.to_file ~path:folded_path tracks;
-      (* Tail-attribution sidecar: for every track that emitted request
-         spans, the p99 tail's per-mechanism breakdown as a tails CSV.
-         Same byte-identical-at-any-jobs contract as the other two. *)
-      let tails =
-        List.filter_map
-          (fun (name, events) ->
-            let att = Xc_trace.Profile.attribute events in
-            match Xc_trace.Profile.request_totals att with
-            | [] -> None
-            | totals ->
-                let cut =
-                  Xc_sim.Histogram.percentile_floor
-                    (Xc_sim.Histogram.of_samples totals)
-                    99.
-                in
-                Some
-                  (Xc_trace.Profile.tail_of ~label:name ~pct:99. ~cut_ns:cut
-                     att))
-          tracks
-      in
-      let tails_path = Filename.remove_extension path ^ ".tails" in
-      Xc_trace.Export.tails_to_file ~path:tails_path tails;
-      Printf.eprintf "[bench] wrote %s (%d request-emitting track(s))\n%!"
-        tails_path (List.length tails);
-      let total = List.fold_left (fun a (_, t) -> a + List.length t) 0 tracks in
+        path snaps interval_us (List.length outcomes))
+    timeseries_out;
+  Option.iter
+    (fun path ->
+      let tails = Capture.write_trace ~path outcomes in
+      let base = Filename.remove_extension path in
+      Printf.eprintf "[bench] wrote %s.tails (%d request-emitting track(s))\n%!"
+        base tails;
+      let all = (Capture.merge (List.map snd outcomes)).trace in
       if sample > 1 then begin
         let seen, kept =
           List.fold_left
-            (fun acc o ->
-              List.fold_left
-                (fun (s, k) (st : Xc_trace.Trace.Stream.t) ->
-                  (s + st.seen, k + st.kept))
-                acc o.trace.Xc_trace.Trace.streams)
-            (0, 0) outcomes
+            (fun (s, k) (st : Xc_trace.Trace.Stream.t) -> (s + st.seen, k + st.kept))
+            (0, 0) all.streams
         in
         Printf.eprintf
           "[bench] sampling stride %d: kept %d of %d offered events\n%!" sample
           kept seen
       end;
-      Printf.eprintf "[bench] wrote %s and %s (%d trace events, %d dropped)\n%!"
-        path folded_path total dropped);
-  (match perfetto_out with
-  | None -> ()
-  | Some path ->
-      (* One combined container: each experiment's span track followed
-         by its telemetry counter track, so Perfetto shows flame and
-         time-series lanes side by side.  Same byte-identical-at-any
-         --jobs contract as the separate artifacts. *)
-      let tracks =
-        List.concat_map
-          (fun o ->
-            let counters = Xc_sim.Metrics.to_trace_events o.telemetry in
-            ((o.name, o.trace.Xc_trace.Trace.events)
-            :: (if counters = [] then [] else [ (o.name ^ "/metrics", counters) ])))
-          outcomes
-      in
-      let dropped =
-        List.fold_left
-          (fun acc o -> acc + o.trace.Xc_trace.Trace.dropped)
-          0 outcomes
-      in
-      Xc_trace.Export.to_file ~dropped ~path tracks;
+      Printf.eprintf "[bench] wrote %s and %s.folded (%d trace events, %d dropped)\n%!"
+        path base (List.length all.events) all.dropped)
+    trace_out;
+  Option.iter
+    (fun path ->
       Printf.eprintf "[bench] wrote %s (%d combined track(s))\n%!" path
-        (List.length tracks));
+        (Capture.write_perfetto ~path outcomes))
+    perfetto_out;
   let alarm =
     alert_rules <> []
     && List.fold_left
-         (fun acc o ->
-           let fs = Xc_sim.Metrics.firings ~rules:alert_rules o.telemetry in
-           if fs <> [] then begin
-             Printf.eprintf "[bench] %s:\n%s%!" o.name
-               (Xc_sim.Metrics.render_firings fs);
-             true
-           end
-           else acc)
+         (fun acc (name, (o : _ Capture.measured)) ->
+           match Xc_sim.Metrics.firings ~rules:alert_rules o.telemetry with
+           | [] -> acc
+           | fs ->
+               Printf.eprintf "[bench] %s:\n%s%!" name
+                 (Xc_sim.Metrics.render_firings fs);
+               true)
          false outcomes
   in
   Printf.eprintf "[bench] %d experiment(s), %d domain(s), %.2fs wall; wrote BENCH_sim.json\n%!"
@@ -2122,146 +1953,102 @@ let () =
       prerr_endline "cost-model validation failed:";
       List.iter (fun v -> prerr_endline ("  - " ^ v)) violations;
       exit 1);
-  let args = List.tl (Array.to_list Sys.argv) in
+  let usage_error fmt =
+    Printf.ksprintf
+      (fun m ->
+        prerr_endline ("bench: " ^ m);
+        exit 2)
+      fmt
+  in
   (* A bad XC_JOBS fails loudly up front (even if --jobs overrides it
      later): a typo silently running sequentially is worse than an
      error. *)
   let jobs =
     match Xc_sim.Parallel.jobs_from_env () with
     | Ok n -> ref n
-    | Error msg ->
-        Printf.eprintf "bench: %s\n" msg;
-        exit 2
+    | Error msg -> usage_error "%s" msg
   in
   let set_jobs s =
     match Xc_sim.Parallel.jobs_of_string s with
     | Ok n -> jobs := n
     | Error _ ->
-        Printf.eprintf
-          "bench: --jobs expects a positive integer (or 0 for auto), got %S\n"
-          s;
-        exit 2
+        usage_error "--jobs expects a positive integer (or 0 for auto), got %S" s
   in
-  let trace_out = ref None in
-  let sample = ref 1 in
-  let set_sample s =
+  let positive r flag what s =
     match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> sample := n
-    | _ ->
-        Printf.eprintf "bench: --sample expects a positive integer, got %S\n" s;
-        exit 2
+    | Some n when n >= 1 -> r := n
+    | _ -> usage_error "%s expects a positive integer%s, got %S" flag what s
   in
+  let sample = ref 1 and interval_us = ref 50 in
   let suite_exps = ref [] in
   let add_suite name =
     match Registry.find_named name with
     | Some suite ->
         suite_exps := ("suite:" ^ name, suite_body suite) :: !suite_exps
     | None ->
-        Printf.eprintf
-          "bench: --suite expects a named generic suite (%s), got %S%s\n"
+        usage_error "--suite expects a named generic suite (%s), got %S%s"
           (String.concat " " Registry.named_names)
           name
           (if Registry.find_bench name <> None || Registry.find_smoke name <> None
            then " (bench suites run as plain experiment names)"
-           else "");
-        exit 2
+           else "")
   in
-  let timeseries_out = ref None in
-  let perfetto_out = ref None in
   let alert_rules = ref [] in
   let add_alerts s =
     String.split_on_char ',' s
     |> List.iter (fun spec ->
            match Xc_sim.Metrics.rule_of_string (String.trim spec) with
            | Ok r -> alert_rules := !alert_rules @ [ r ]
-           | Error m ->
-               Printf.eprintf "bench: --alerts: %s\n" m;
-               exit 2)
+           | Error m -> usage_error "--alerts: %s" m)
   in
-  let interval_us = ref 50 in
-  let set_interval s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> interval_us := n
-    | _ ->
-        Printf.eprintf
-          "bench: --interval expects a positive integer (sim-microseconds), \
-           got %S\n"
-          s;
-        exit 2
+  (* The flag grammar.  A value flag takes [--x V] or [--x=V], and a
+     bare trailing [--x] is an error naming what it expects; a file
+     flag alone writes its default file and [--x=F] names another.
+     Any other argument is an experiment name. *)
+  let value_flags =
+    [
+      ("--jobs", ("an argument", set_jobs));
+      ("--sample", ("an argument", positive sample "--sample" ""));
+      ("--alerts", ("CAT/NAME>V[,CAT/NAME<V...]", add_alerts));
+      ("--suite", ("an argument", add_suite));
+      ( "--interval",
+        ("an argument", positive interval_us "--interval" " (sim-microseconds)") );
+    ]
+  and trace_out = ref None
+  and timeseries_out = ref None
+  and perfetto_out = ref None in
+  let file_flags =
+    [
+      ("--trace", ("BENCH_trace.json", trace_out));
+      ("--timeseries", ("BENCH_timeseries.csv", timeseries_out));
+      ("--perfetto", ("BENCH_perfetto.json", perfetto_out));
+    ]
   in
   let rec parse acc = function
     | [] -> List.rev acc
-    | "--jobs" :: n :: rest ->
-        set_jobs n;
-        parse acc rest
-    | [ "--jobs" ] ->
-        Printf.eprintf "bench: --jobs expects an argument\n";
-        exit 2
-    | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
-        set_jobs (String.sub arg 7 (String.length arg - 7));
-        parse acc rest
-    | "--trace" :: rest ->
-        trace_out := Some "BENCH_trace.json";
-        parse acc rest
-    | arg :: rest when String.length arg > 8 && String.sub arg 0 8 = "--trace=" ->
-        trace_out := Some (String.sub arg 8 (String.length arg - 8));
-        parse acc rest
-    | "--sample" :: n :: rest ->
-        set_sample n;
-        parse acc rest
-    | [ "--sample" ] ->
-        Printf.eprintf "bench: --sample expects an argument\n";
-        exit 2
-    | arg :: rest when String.length arg > 9 && String.sub arg 0 9 = "--sample=" ->
-        set_sample (String.sub arg 9 (String.length arg - 9));
-        parse acc rest
-    | "--timeseries" :: rest ->
-        timeseries_out := Some "BENCH_timeseries.csv";
-        parse acc rest
-    | arg :: rest
-      when String.length arg > 13 && String.sub arg 0 13 = "--timeseries=" ->
-        timeseries_out := Some (String.sub arg 13 (String.length arg - 13));
-        parse acc rest
-    | "--perfetto" :: rest ->
-        perfetto_out := Some "BENCH_perfetto.json";
-        parse acc rest
-    | arg :: rest
-      when String.length arg > 11 && String.sub arg 0 11 = "--perfetto=" ->
-        perfetto_out := Some (String.sub arg 11 (String.length arg - 11));
-        parse acc rest
-    | "--alerts" :: s :: rest ->
-        add_alerts s;
-        parse acc rest
-    | [ "--alerts" ] ->
-        Printf.eprintf "bench: --alerts expects CAT/NAME>V[,CAT/NAME<V...]\n";
-        exit 2
-    | arg :: rest when String.length arg > 9 && String.sub arg 0 9 = "--alerts=" ->
-        add_alerts (String.sub arg 9 (String.length arg - 9));
-        parse acc rest
-    | "--suite" :: n :: rest ->
-        add_suite n;
-        parse acc rest
-    | [ "--suite" ] ->
-        Printf.eprintf "bench: --suite expects an argument\n";
-        exit 2
-    | arg :: rest when String.length arg > 8 && String.sub arg 0 8 = "--suite=" ->
-        add_suite (String.sub arg 8 (String.length arg - 8));
-        parse acc rest
-    | "--interval" :: n :: rest ->
-        set_interval n;
-        parse acc rest
-    | [ "--interval" ] ->
-        Printf.eprintf "bench: --interval expects an argument\n";
-        exit 2
-    | arg :: rest
-      when String.length arg > 11 && String.sub arg 0 11 = "--interval=" ->
-        set_interval (String.sub arg 11 (String.length arg - 11));
-        parse acc rest
-    | arg :: rest -> parse (arg :: acc) rest
+    | arg :: rest -> (
+        let flag, inline =
+          match String.index_opt arg '=' with
+          | Some i when i < String.length arg - 1 ->
+              (String.sub arg 0 i, Some (String.sub arg (i + 1) (String.length arg - i - 1)))
+          | _ -> (arg, None)
+        in
+        match (List.assoc_opt flag value_flags, List.assoc_opt flag file_flags) with
+        | Some (expects, set), _ -> (
+            match (inline, rest) with
+            | Some v, rest | None, v :: rest ->
+                set v;
+                parse acc rest
+            | None, [] -> usage_error "%s expects %s" flag expects)
+        | None, Some (default, out) ->
+            out := Some (Option.value inline ~default);
+            parse acc rest
+        | None, None -> parse (arg :: acc) rest)
   in
+  let args = List.tl (Array.to_list Sys.argv) in
   let names = parse [] args in
   let lookup name =
-    if name = "micro" then Some [ ("micro", Whole micro) ]
+    if name = "micro" then Some [ ("micro", whole micro) ]
     else if name = "smoke" then Some smoke_experiments
     else
       match List.assoc_opt name all_experiments with

@@ -17,6 +17,177 @@ let exit_err msg =
   prerr_endline ("xc: " ^ msg);
   exit 1
 
+(* ---------------- shared flags ---------------- *)
+
+(* Every flag several commands take is declared once here, as a term
+   that already holds its validated value: a bad value exits 1 with a
+   named error before the command body runs. *)
+
+module Capture = Xc_sim.Capture
+module CS = Xc_platforms.Cluster_sim
+
+let cloud_conv =
+  let parse s =
+    match String.lowercase_ascii s with
+    | "amazon" | "ec2" -> Ok Xc_platforms.Config.Amazon_ec2
+    | "google" | "gce" -> Ok Xc_platforms.Config.Google_gce
+    | "local" -> Ok Xc_platforms.Config.Local_cluster
+    | other -> Error (`Msg ("unknown cloud: " ^ other))
+  in
+  Arg.conv
+    ( parse,
+      fun fmt c ->
+        Format.pp_print_string fmt
+          (match c with
+          | Xc_platforms.Config.Amazon_ec2 -> "amazon"
+          | Xc_platforms.Config.Google_gce -> "google"
+          | Xc_platforms.Config.Local_cluster -> "local") )
+
+let runtime_conv =
+  let parse s =
+    match String.lowercase_ascii s with
+    | "docker" -> Ok Xc_platforms.Config.Docker
+    | "gvisor" -> Ok Xc_platforms.Config.Gvisor
+    | "clear" -> Ok Xc_platforms.Config.Clear_container
+    | "xen-container" -> Ok Xc_platforms.Config.Xen_container
+    | "x-container" | "xc" -> Ok Xc_platforms.Config.X_container
+    | other -> Error (`Msg ("unknown runtime: " ^ other))
+  in
+  Arg.conv
+    ( parse,
+      fun fmt r -> Format.pp_print_string fmt (Xc_platforms.Config.runtime_name r) )
+
+let positive flag n =
+  if n < 1 then
+    exit_err (Printf.sprintf "--%s expects a positive integer, got %d" flag n);
+  n
+
+let runtime_info =
+  Arg.info [ "runtime"; "r" ]
+    ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container."
+
+let runtime =
+  Arg.(value & opt runtime_conv Xc_platforms.Config.X_container runtime_info)
+
+let cloud =
+  Arg.(value & opt cloud_conv Xc_platforms.Config.Amazon_ec2
+      & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
+
+(* An explicit --jobs must be positive (0 means "auto": whatever the
+   host can usefully run); absent, it falls back to $XC_JOBS (itself
+   validated, 0-is-auto included) or 1. *)
+let jobs =
+  let validate = function
+    | Some 0 -> Xc_sim.Parallel.recommended_jobs ()
+    | Some n when n >= 1 -> n
+    | Some n ->
+        exit_err
+          (Printf.sprintf
+             "--jobs expects a positive integer (or 0 for auto), got %d" n)
+    | None -> (
+        match Xc_sim.Parallel.jobs_from_env () with
+        | Ok n -> n
+        | Error msg -> exit_err msg)
+  in
+  Term.(
+    const validate
+    $ Arg.(value & opt (some int) None
+          & info [ "jobs"; "j" ]
+              ~doc:"Worker domains (default \\$XC_JOBS or 1; 0 = auto); \
+                    output and every artifact are identical at any value."))
+
+let containers =
+  Term.(
+    const (positive "containers")
+    $ Arg.(value & opt int 4
+          & info [ "containers" ] ~docv:"N" ~doc:"Containers per node."))
+
+let container_counts default =
+  Arg.(value & opt (list int) default
+      & info [ "containers" ] ~doc:"Comma-separated container counts.")
+
+let connections_arg default =
+  Arg.(value & opt int default
+      & info [ "connections" ] ~docv:"N"
+          ~doc:"Closed-loop client connections per container.")
+
+let connections default =
+  Term.(const (positive "connections") $ connections_arg default)
+
+let sample default =
+  Term.(
+    const (positive "sample")
+    $ Arg.(value & opt int default
+          & info [ "sample" ] ~docv:"N"
+              ~doc:"Sampling stride: keep one event per window of N per \
+                    (cat,name) stream, with exact kept/seen accounting."))
+
+let slowest default =
+  Arg.(value & opt int default
+      & info [ "slowest" ] ~docv:"K"
+          ~doc:"Detail the K slowest requests end-to-end by mechanism.")
+
+let file_arg i = Arg.(value & opt (some string) None & i)
+
+let csv = file_arg (Arg.info [ "csv" ] ~docv:"FILE" ~doc:"Also write the results as CSV.")
+
+let folded =
+  file_arg
+    (Arg.info [ "folded" ] ~docv:"FILE"
+       ~doc:"Write the span timeline as collapsed-stack flamegraph lines \
+             (flamegraph.pl / speedscope input).")
+
+let tails =
+  file_arg
+    (Arg.info [ "tails" ] ~docv:"FILE"
+       ~doc:"Write the tail attribution as a tails CSV (byte-identical \
+             across --jobs).")
+
+let timeseries =
+  file_arg
+    (Arg.info [ "timeseries" ] ~docv:"FILE"
+       ~doc:"Write the sim-clock metric snapshots as Chrome counter events, \
+             or CSV when FILE ends in .csv (byte-identical across --jobs).")
+
+(* "--tail p99", "--tail 99.9", "--tail 99" all mean the same cut. *)
+let tail =
+  let parse s =
+    let t = String.trim (String.lowercase_ascii s) in
+    let t =
+      if String.length t > 1 && t.[0] = 'p' then
+        String.sub t 1 (String.length t - 1)
+      else t
+    in
+    match float_of_string_opt t with
+    | Some p when p > 0. && p <= 100. -> p
+    | _ ->
+        exit_err
+          (Printf.sprintf "--tail expects a percentile like p99 or 99.9, got %S" s)
+  in
+  Term.(
+    const (Option.map parse)
+    $ Arg.(value & opt (some string) None
+          & info [ "tail" ] ~docv:"PCT"
+              ~doc:"Attribute the requests at or above this latency \
+                    percentile (e.g. p99, 99.9) to mechanisms, with exact \
+                    self-time partitioning.  Commands that always cut a \
+                    tail (trace tails, lb tail) default to p99."))
+
+let tail_or_p99 = Term.(const (Option.value ~default:99.) $ tail)
+
+(* --tail with its optional --tails artifact. *)
+let tail_cut =
+  let pair pct path =
+    match (pct, path) with
+    | None, Some _ -> exit_err "--tails needs --tail"
+    | None, None -> None
+    | Some pct, path -> Some (pct, path)
+  in
+  Term.(const pair $ tail $ tails)
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
 (* ---------------- xc boot ---------------- *)
 
 let boot_cmd =
@@ -134,28 +305,7 @@ let platforms_cmd =
 
 (* ---------------- xc syscall-costs ---------------- *)
 
-let cloud_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "amazon" | "ec2" -> Ok Xc_platforms.Config.Amazon_ec2
-    | "google" | "gce" -> Ok Xc_platforms.Config.Google_gce
-    | "local" -> Ok Xc_platforms.Config.Local_cluster
-    | other -> Error (`Msg ("unknown cloud: " ^ other))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt c ->
-        Format.pp_print_string fmt
-          (match c with
-          | Xc_platforms.Config.Amazon_ec2 -> "amazon"
-          | Xc_platforms.Config.Google_gce -> "google"
-          | Xc_platforms.Config.Local_cluster -> "local") )
-
 let syscall_costs_cmd =
-  let cloud =
-    Arg.(value & opt cloud_conv Xc_platforms.Config.Amazon_ec2
-        & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
-  in
   let unpatched =
     Arg.(value & flag & info [ "unpatched" ] ~doc:"Without the Meltdown patches.")
   in
@@ -437,30 +587,7 @@ let profile_binary_cmd =
 
 (* ---------------- xc sweep ---------------- *)
 
-(* Shared --jobs validation: explicit value must be positive (0 means
-   "auto": whatever the host can usefully run), absent falls back to
-   $XC_JOBS (itself validated, 0-is-auto included) or 1. *)
-let jobs_or_exit = function
-  | Some 0 -> Xc_sim.Parallel.recommended_jobs ()
-  | Some n when n >= 1 -> n
-  | Some n ->
-      exit_err
-        (Printf.sprintf "--jobs expects a positive integer (or 0 for auto), got %d" n)
-  | None -> (
-      match Xc_sim.Parallel.jobs_from_env () with
-      | Ok n -> n
-      | Error msg -> exit_err msg)
-
 let sweep_cmd =
-  let containers =
-    Arg.(value & opt (list int) [ 16; 64; 150 ]
-        & info [ "containers" ] ~doc:"Comma-separated container counts.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-        & info [ "jobs"; "j" ]
-            ~doc:"Worker domains for the sweep fan-out (default \\$XC_JOBS or 1).")
-  in
   let duration_ms =
     Arg.(value & opt float 300.
         & info [ "duration" ] ~doc:"Simulated duration per point, in ms.")
@@ -474,12 +601,6 @@ let sweep_cmd =
                   exact kept/seen accounting printed); disable it with \
                   \\$(b,--no-sample).")
   in
-  let sample =
-    Arg.(value & opt int 16
-        & info [ "sample" ] ~docv:"N"
-            ~doc:"Sampling stride for --trace: keep one event per window \
-                  of N per (cat,name) stream.")
-  in
   let no_sample =
     Arg.(value & flag
         & info [ "no-sample" ]
@@ -487,28 +608,18 @@ let sweep_cmd =
                   (the ring may drop the oldest under load).")
   in
   let run counts jobs duration_ms trace_out sample no_sample =
-    let jobs = jobs_or_exit jobs in
-    if sample < 1 then
-      exit_err (Printf.sprintf "--sample expects a positive integer, got %d" sample);
     let stride = if no_sample then 1 else sample in
-    let module CS = Xc_platforms.Cluster_sim in
     let point mode n =
       { (CS.default_config mode ~containers:n) with duration_ns = duration_ms *. 1e6 }
     in
     let configs =
       List.concat_map (fun n -> [ point CS.Flat n; point CS.Hierarchical n ]) counts
     in
-    let t0 = Unix.gettimeofday () in
-    let results, captured =
-      match trace_out with
-      | None -> (CS.run_sweep ~jobs configs, None)
-      | Some _ ->
-          Xc_trace.Trace.enable ~capacity:(1 lsl 18) ~sample:stride ();
-          let r, c = Xc_trace.Trace.capture (fun () -> CS.run_sweep ~jobs configs) in
-          Xc_trace.Trace.disable ();
-          (r, Some c)
+    let m =
+      Capture.(
+        with_capture ~trace:(trace_out <> None) ~capacity:(1 lsl 18)
+          ~sample:stride (fun () -> measure (fun () -> CS.run_sweep ~jobs configs)))
     in
-    let wall = Unix.gettimeofday () -. t0 in
     let t =
       Xc_sim.Table.create
         [
@@ -529,12 +640,13 @@ let sweep_cmd =
             Printf.sprintf "%.1fms" (r.p99_latency_ns /. 1e6);
             string_of_int r.container_switches;
           ])
-      configs results;
+      configs m.value;
     Xc_sim.Table.print t;
     Printf.printf "%d points in %.2fs wall with %d domain(s)\n"
-      (List.length configs) wall jobs;
-    match (trace_out, captured) with
-    | Some path, Some { Xc_trace.Trace.events; dropped; streams; _ } ->
+      (List.length configs) m.wall_s jobs;
+    Option.iter
+      (fun path ->
+        let { Xc_trace.Trace.events; dropped; streams; _ } = m.trace in
         Xc_trace.Export.to_file ~dropped ~path [ ("sweep", events) ];
         let seen =
           List.fold_left (fun a (s : Xc_trace.Trace.Stream.t) -> a + s.seen) 0 streams
@@ -542,14 +654,14 @@ let sweep_cmd =
         if stride > 1 then
           Printf.printf "wrote %s (%d events kept of %d offered, stride %d)\n"
             path (List.length events) seen stride
-        else Printf.printf "wrote %s (%d events)\n" path (List.length events)
-    | _ -> ()
+        else Printf.printf "wrote %s (%d events)\n" path (List.length events))
+      trace_out
   in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"Figure 8 scheduler sweep, fanned out over worker domains.")
-    Term.(const run $ containers $ jobs $ duration_ms $ trace_out $ sample
-          $ no_sample)
+    Term.(const run $ container_counts [ 16; 64; 150 ] $ jobs $ duration_ms
+          $ trace_out $ sample 16 $ no_sample)
 
 (* ---------------- xc experiments ---------------- *)
 
@@ -597,31 +709,9 @@ let app_conv =
   in
   Arg.conv (parse, print)
 
-let runtime_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "docker" -> Ok Xc_platforms.Config.Docker
-    | "gvisor" -> Ok Xc_platforms.Config.Gvisor
-    | "clear" -> Ok Xc_platforms.Config.Clear_container
-    | "xen-container" -> Ok Xc_platforms.Config.Xen_container
-    | "x-container" | "xc" -> Ok Xc_platforms.Config.X_container
-    | other -> Error (`Msg ("unknown runtime: " ^ other))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt r -> Format.pp_print_string fmt (Xc_platforms.Config.runtime_name r) )
-
 let run_app_cmd =
   let app_arg =
     Arg.(value & opt app_conv `Nginx & info [ "app"; "a" ] ~doc:"Application.")
-  in
-  let runtime =
-    Arg.(value & opt runtime_conv Xc_platforms.Config.X_container
-        & info [ "runtime"; "r" ]
-            ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container.")
-  in
-  let connections =
-    Arg.(value & opt int 64 & info [ "connections" ] ~doc:"Concurrent clients.")
   in
   let run app runtime connections =
     let config = Xc_platforms.Config.make runtime in
@@ -644,7 +734,7 @@ let run_app_cmd =
   Cmd.v
     (Cmd.info "run-app"
        ~doc:"Closed-loop benchmark of any modelled application on any runtime.")
-    Term.(const run $ app_arg $ runtime $ connections)
+    Term.(const run $ app_arg $ runtime $ connections_arg 64)
 
 (* ---------------- xc trace ---------------- *)
 
@@ -712,35 +802,44 @@ let run_traced_httpd config platform ~requests =
     ignore (Xc_apps.Httpd.get ~id:i ~deliver server ~path)
   done
 
-(* "--tail p99", "--tail 99.9", "--tail 99" all mean the same cut. *)
-let parse_tail_pct s =
-  let t = String.trim (String.lowercase_ascii s) in
-  let t =
-    if String.length t > 1 && t.[0] = 'p' then String.sub t 1 (String.length t - 1)
-    else t
+(* The engine-driven workloads [trace run] and [top] share: cluster
+   (the Fig 9 scheduling simulation), closed-loop (the wrk-style driver
+   with per-request mechanism spans) or a modelled application.  Cost
+   queries emit trace spans themselves, so the cluster and closed-loop
+   drivers are priced here, before any capture is switched on; an
+   application's server is priced inside a [~traced] run, so its
+   capture shows the pricing too.  The flag marks the workloads whose
+   requests emit span bundles. *)
+let engine_workload ~jobs ~traced config platform exp =
+  let server app = Xcontainers.Figures.server_for_public config platform app in
+  let run ?(trace_mechanisms = []) ~duration_ns ~warmup_ns server =
+    ignore
+      (Xc_platforms.Closed_loop.run
+         {
+           Xc_platforms.Closed_loop.default_config with
+           duration_ns;
+           warmup_ns;
+           trace_mechanisms;
+         }
+         server)
   in
-  match float_of_string_opt t with
-  | Some p when p > 0. && p <= 100. -> p
-  | _ ->
-      exit_err
-        (Printf.sprintf "--tail expects a percentile like p99 or 99.9, got %S" s)
-
-(* The percentile cut and tail attribution for one captured run; the
-   attribution partitions all traced self-time between requests and an
-   unattributed bucket, so the tail table is exact accounting, not
-   sampling.  Requires a request-emitting workload. *)
-let tail_of_events ~label ~pct events =
-  let module Profile = Xc_trace.Profile in
-  let att = Profile.attribute events in
-  match Profile.request_totals att with
-  | [] -> None
-  | totals ->
-      let cut =
-        Xc_sim.Histogram.percentile_floor
-          (Xc_sim.Histogram.of_samples totals)
-          pct
+  match exp with
+  | "cluster" ->
+      let cs = CS.config_of_platform platform in
+      Some (true, fun () -> ignore (CS.run_sweep ~jobs [ cs ]))
+  | "closed-loop" ->
+      let s = server `Nginx in
+      let trace_mechanisms =
+        Xc_apps.Recipe.mechanisms platform Xc_apps.Nginx.static_request_wrk
       in
-      Some (Profile.tail_of ~label ~pct ~cut_ns:cut att)
+      Some (true, fun () -> run ~trace_mechanisms ~duration_ns:3e7 ~warmup_ns:3e6 s)
+  | exp ->
+      Option.map
+        (fun app ->
+          let s = lazy (server app) in
+          if not traced then ignore (Lazy.force s);
+          (false, fun () -> run ~duration_ns:2e8 ~warmup_ns:2e7 (Lazy.force s)))
+        (List.assoc_opt exp app_table)
 
 let trace_run_cmd =
   let exp_arg =
@@ -753,15 +852,6 @@ let trace_run_cmd =
                   closed-loop (the wrk-style driver with per-request \
                   mechanism spans), or cluster (the Fig 9 scheduling \
                   simulation, ditto).")
-  in
-  let runtime =
-    Arg.(value & opt runtime_conv Xc_platforms.Config.X_container
-        & info [ "runtime"; "r" ]
-            ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container.")
-  in
-  let cloud =
-    Arg.(value & opt cloud_conv Xc_platforms.Config.Amazon_ec2
-        & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
   in
   let iterations =
     Arg.(value & opt int 100
@@ -776,139 +866,44 @@ let trace_run_cmd =
   let top =
     Arg.(value & opt int 5 & info [ "top" ] ~doc:"Names per category in the summary.")
   in
-  let sample =
-    Arg.(value & opt int 1
-        & info [ "sample" ] ~docv:"N"
-            ~doc:"Sampling stride: keep one event per window of N per \
-                  (cat,name) stream and print the exact kept/skipped \
-                  accounting. The summary is rescaled by it.")
-  in
-  let folded =
-    Arg.(value & opt (some string) None
-        & info [ "folded" ] ~docv:"FILE"
-            ~doc:"Write a collapsed-stack flamegraph (stack count lines, \
-                  flamegraph.pl / speedscope input) of the span timeline.")
-  in
-  let slowest =
-    Arg.(value & opt int 0
-        & info [ "slowest" ] ~docv:"K"
-            ~doc:"Explain the K slowest requests end-to-end by mechanism \
-                  (workloads that emit request spans: httpd, closed-loop, \
-                  cluster and the closed-loop applications).  With --tail, \
-                  details the K slowest tail requests instead.")
-  in
-  let tail =
-    Arg.(value & opt (some string) None
-        & info [ "tail" ] ~docv:"PCT"
-            ~doc:"Attribute the requests at or above this latency \
-                  percentile (e.g. p99, 99.9) to mechanisms, with exact \
-                  self-time partitioning.  Needs a request-emitting \
-                  workload.")
-  in
-  let tails_out =
-    Arg.(value & opt (some string) None
-        & info [ "tails" ] ~docv:"FILE"
-            ~doc:"With --tail, also write the tail breakdown as a tails \
-                  CSV (byte-identical across --jobs).")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-        & info [ "jobs"; "j" ]
-            ~doc:"Worker domains for the cluster workload (default \
-                  \\$XC_JOBS or 1); traced output is identical at any \
-                  value.")
-  in
-  let timeseries =
-    Arg.(value & opt (some string) None
-        & info [ "timeseries" ] ~docv:"FILE"
-            ~doc:"Also sample the metric registry every 50 sim-us and \
-                  write the time-series as Chrome counter events, or CSV \
-                  when FILE ends in .csv (byte-identical across --jobs).")
-  in
-  let run exp runtime cloud iterations out top sample folded slowest tail
-      tails_out jobs timeseries =
+  let run exp runtime cloud iterations out top sample folded slowest tail_cut
+      jobs timeseries =
     let module Trace = Xc_trace.Trace in
     let module Export = Xc_trace.Export in
     let module Profile = Xc_trace.Profile in
     let exp = String.lowercase_ascii exp in
     let config = Xc_platforms.Config.make ~cloud runtime in
     let platform = Xc_platforms.Platform.create config in
-    if sample < 1 then exit_err "--sample must be a positive integer";
-    let jobs = jobs_or_exit jobs in
-    let tail_pct = Option.map parse_tail_pct tail in
-    if tails_out <> None && tail_pct = None then
-      exit_err "--tails needs --tail";
-    let workload =
-      if exp = "httpd" then `Httpd
-      else if exp = "closed-loop" then begin
-        (* Both the driver config and the mechanism rows query platform
-           costs, and those queries emit trace spans themselves — price
-           everything before enabling the tracer. *)
-        let recipe = Xc_apps.Nginx.static_request_wrk in
-        let server = Xcontainers.Figures.server_for_public config platform `Nginx in
-        `Closed_loop
-          ( {
-              Xc_platforms.Closed_loop.default_config with
-              duration_ns = 3e7;
-              warmup_ns = 3e6;
-              trace_mechanisms = Xc_apps.Recipe.mechanisms platform recipe;
-            },
-            server )
-      end
-      else if exp = "cluster" then
-        `Cluster (Xc_platforms.Cluster_sim.config_of_platform platform)
-      else
-        match List.assoc_opt exp unixbench_workloads with
-        | Some test -> `Unixbench test
-        | None -> (
-            match List.assoc_opt exp app_table with
-            | Some app -> `App app
-            | None ->
-                exit_err
-                  (Printf.sprintf
-                     "unknown experiment %S; one of: httpd closed-loop cluster %s"
-                     exp
-                     (String.concat ", "
-                        (List.map fst unixbench_workloads @ List.map fst app_table))))
+    let bundles, workload =
+      match (exp, List.assoc_opt exp unixbench_workloads) with
+      | "httpd", _ ->
+          (false, fun () -> run_traced_httpd config platform ~requests:iterations)
+      | _, Some test ->
+          ( false,
+            fun () ->
+              for _ = 1 to iterations do
+                ignore (Xc_apps.Unixbench.per_iteration_ns platform test)
+              done )
+      | _, None -> (
+          match engine_workload ~jobs ~traced:true config platform exp with
+          | Some w -> w
+          | None ->
+              exit_err
+                (Printf.sprintf
+                   "unknown experiment %S; one of: httpd closed-loop cluster %s"
+                   exp
+                   (String.concat ", "
+                      (List.map fst unixbench_workloads @ List.map fst app_table))))
     in
     (* Request bundles are many small spans; give the ring room so no
        request loses part of its bundle to drops. *)
-    let capacity =
-      match workload with
-      | `Closed_loop _ | `Cluster _ -> 1 lsl 18
-      | _ -> Trace.default_capacity
+    let m =
+      Capture.(
+        with_capture ~trace:true
+          ?capacity:(if bundles then Some (1 lsl 18) else None)
+          ~sample ~metrics:(timeseries <> None) (fun () -> measure workload))
     in
-    if timeseries <> None then Xc_sim.Metrics.enable ();
-    Trace.enable ~capacity ~sample ();
-    let ((), captured), telemetry =
-      Xc_sim.Metrics.capture (fun () ->
-          Trace.capture (fun () ->
-              match workload with
-              | `Unixbench test ->
-                  for _ = 1 to iterations do
-                    ignore (Xc_apps.Unixbench.per_iteration_ns platform test)
-                  done
-              | `Httpd -> run_traced_httpd config platform ~requests:iterations
-              | `Closed_loop (cl_config, server) ->
-                  ignore (Xc_platforms.Closed_loop.run cl_config server)
-              | `Cluster cs_config ->
-                  ignore (Xc_platforms.Cluster_sim.run_sweep ~jobs [ cs_config ])
-              | `App app ->
-                  let server =
-                    Xcontainers.Figures.server_for_public config platform app
-                  in
-                  ignore
-                    (Xc_platforms.Closed_loop.run
-                       {
-                         Xc_platforms.Closed_loop.default_config with
-                         duration_ns = 2e8;
-                         warmup_ns = 2e7;
-                       }
-                       server)))
-    in
-    Trace.disable ();
-    Xc_sim.Metrics.disable ();
-    let { Trace.events; dropped; streams; _ } = captured in
+    let { Trace.events; dropped; streams; _ } = m.trace in
     let label = exp ^ "/" ^ Xc_platforms.Config.name config in
     (* With a sampling stride, rescale spans by the exact per-stream
        kept/seen counters so the summary estimates the full run. *)
@@ -919,30 +914,30 @@ let trace_run_cmd =
         sample;
       print_string (Profile.render_streams streams)
     end;
-    (match tail_pct with
+    (match tail_cut with
     | None ->
         if slowest > 0 then begin
           print_newline ();
           print_string (Profile.render_slowest ~k:slowest events)
         end
-    | Some pct -> (
+    | Some (pct, tails_out) -> (
         print_newline ();
-        match tail_of_events ~label ~pct events with
+        match Profile.(tail_at ~label ~pct (attribute events)) with
         | None ->
             print_string
               "(no request spans in trace; --tail needs a request-emitting \
                workload)\n"
-        | Some t -> (
+        | Some t ->
             print_string (Profile.render_tail ~slowest t);
-            match tails_out with
-            | Some path ->
+            Option.iter
+              (fun path ->
                 Export.tails_to_file ~path [ t ];
-                Printf.printf "wrote %s\n" path
-            | None -> ())));
+                Printf.printf "wrote %s\n" path)
+              tails_out));
     if dropped > 0 then
       Printf.printf "(ring full: %d oldest events dropped)\n" dropped;
-    (match out with
-    | Some path ->
+    Option.iter
+      (fun path ->
         (* Request spans go to their own track: a request-id lane above
            the mechanism lane, tying each request to its children. *)
         let requests, rest =
@@ -955,28 +950,24 @@ let trace_run_cmd =
           else [ (label, rest); (label ^ "/request-id", requests) ]
         in
         Export.to_file ~dropped ~path tracks;
-        Printf.printf "wrote %s (%d events)\n" path (List.length events)
-    | None -> ());
-    (match folded with
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Export.to_folded [ (label, events) ]);
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-    | None -> ());
-    match timeseries with
-    | Some path ->
-        Export.to_file ~path
-          [ (label ^ "/telemetry", Xc_sim.Metrics.to_trace_events telemetry) ];
+        Printf.printf "wrote %s (%d events)\n" path (List.length events))
+      out;
+    Option.iter
+      (fun path ->
+        write_file path (Export.to_folded [ (label, events) ]);
+        Printf.printf "wrote %s\n" path)
+      folded;
+    Option.iter
+      (fun path ->
         Printf.printf "wrote %s (%d snapshots)\n" path
-          (List.length telemetry.Xc_sim.Metrics.snapshots)
-    | None -> ()
+          (Capture.write_timeseries ~path [ (label ^ "/telemetry", m) ]))
+      timeseries
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:"Trace one workload and print its per-category cost summary.")
     Term.(const run $ exp_arg $ runtime $ cloud $ iterations $ out $ top
-          $ sample $ folded $ slowest $ tail $ tails_out $ jobs $ timeseries)
+          $ sample 1 $ folded $ slowest 0 $ tail_cut $ jobs $ timeseries)
 
 let trace_diff_cmd =
   let a_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"A") in
@@ -995,6 +986,19 @@ let trace_diff_cmd =
     Term.(const run $ a_arg $ b_arg)
 
 (* ---------------- xc trace tails ---------------- *)
+
+(* One traced cluster run of an already priced config (so the capture
+   holds only the run's own events and the partition is exact), and its
+   [pct] tail. *)
+let cluster_tail ~jobs ~pct ~label cs =
+  let m =
+    Capture.(
+      with_capture ~trace:true ~capacity:(1 lsl 18) (fun () ->
+          measure (fun () -> ignore (CS.run_sweep ~jobs [ cs ]))))
+  in
+  match Xc_trace.Profile.(tail_at ~label ~pct (attribute m.trace.events)) with
+  | Some t -> (t, (label, m.trace.events))
+  | None -> exit_err (label ^ ": trace has no request spans")
 
 let trace_tails_cmd =
   let a_arg =
@@ -1015,83 +1019,17 @@ let trace_tails_cmd =
             ~doc:"Diff the two tails (implied whenever B is given; kept as \
                   an explicit spelling).")
   in
-  let cloud =
-    Arg.(value & opt cloud_conv Xc_platforms.Config.Amazon_ec2
-        & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
-  in
-  let containers =
-    Arg.(value & opt int 4
-        & info [ "containers" ] ~doc:"Containers in the cluster config.")
-  in
-  let connections =
-    Arg.(value & opt int 5
-        & info [ "connections" ]
-            ~doc:"Closed-loop connections per container.  At the default \
-                  5 a hierarchical runtime's vCPU saturates and queueing \
-                  (request self-time) dominates its tail; at 1 the load \
-                  is light and the diff isolates the per-mechanism cost \
-                  gap.")
-  in
-  let tail =
-    Arg.(value & opt string "p99"
-        & info [ "tail" ] ~docv:"PCT"
-            ~doc:"Tail percentile cut (e.g. p99, 99.9).")
-  in
-  let slowest =
-    Arg.(value & opt int 0
-        & info [ "slowest" ] ~docv:"K"
-            ~doc:"Without B: also detail the K slowest tail requests.")
-  in
-  let csv =
-    Arg.(value & opt (some string) None
-        & info [ "csv" ] ~docv:"FILE"
-            ~doc:"Write the tail(s) as a tails CSV (one block per side).")
-  in
-  let folded =
-    Arg.(value & opt (some string) None
-        & info [ "folded" ] ~docv:"FILE"
-            ~doc:"Write the raw span timelines of both sides as \
-                  collapsed-stack flamegraph lines.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-        & info [ "jobs"; "j" ]
-            ~doc:"Worker domains per cluster run (default \\$XC_JOBS or \
-                  1); output is identical at any value.")
-  in
-  let run a b _diff cloud containers connections tailstr slowest csv folded
-      jobs =
-    let module Trace = Xc_trace.Trace in
-    let module Export = Xc_trace.Export in
-    let module Profile = Xc_trace.Profile in
-    let pct = parse_tail_pct tailstr in
-    let jobs = jobs_or_exit jobs in
-    if containers < 1 then exit_err "--containers must be positive";
-    if connections < 1 then exit_err "--connections must be positive";
-    (* One traced fig-9-style cluster run per side.  The platform is
-       priced into the config before enabling the tracer (the cost
-       queries emit spans themselves), so the capture holds only the
-       run's own events and the tail partition is exact. *)
+  let run a b _diff cloud containers connections pct slowest csv folded jobs =
+    (* One traced fig-9-style cluster run per side; at the default 5
+       connections a hierarchical runtime's vCPU saturates and queueing
+       dominates its tail, at 1 the diff isolates the per-mechanism
+       cost gap. *)
     let side runtime =
       let config = Xc_platforms.Config.make ~cloud runtime in
       let platform = Xc_platforms.Platform.create config in
-      let cs =
-        Xc_platforms.Cluster_sim.config_of_platform ~containers ~connections
-          platform
-      in
-      Trace.enable ~capacity:(1 lsl 18) ();
-      let (), captured =
-        Trace.capture (fun () ->
-            ignore (Xc_platforms.Cluster_sim.run_sweep ~jobs [ cs ]))
-      in
-      Trace.disable ();
-      let label = "cluster/" ^ Xc_platforms.Config.name config in
-      let t =
-        match tail_of_events ~label ~pct captured.Trace.events with
-        | Some t -> t
-        | None -> exit_err (label ^ ": trace has no request spans")
-      in
-      (t, (label, captured.Trace.events))
+      cluster_tail ~jobs ~pct
+        ~label:("cluster/" ^ Xc_platforms.Config.name config)
+        (CS.config_of_platform ~containers ~connections platform)
     in
     let ta, track_a = side a in
     let tails, tracks =
@@ -1101,28 +1039,26 @@ let trace_tails_cmd =
           print_string (Xc_trace.Diff.render_tails ~a:ta ~b:tb);
           ([ ta; tb ], [ track_a; track_b ])
       | None ->
-          print_string (Profile.render_tail ~slowest ta);
+          print_string (Xc_trace.Profile.render_tail ~slowest ta);
           ([ ta ], [ track_a ])
     in
-    (match csv with
-    | Some path ->
-        Export.tails_to_file ~path tails;
-        Printf.printf "wrote %s\n" path
-    | None -> ());
-    match folded with
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Export.to_folded tracks);
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-    | None -> ()
+    Option.iter
+      (fun path ->
+        Xc_trace.Export.tails_to_file ~path tails;
+        Printf.printf "wrote %s\n" path)
+      csv;
+    Option.iter
+      (fun path ->
+        write_file path (Xc_trace.Export.to_folded tracks);
+        Printf.printf "wrote %s\n" path)
+      folded
   in
   Cmd.v
     (Cmd.info "tails"
        ~doc:"Attribute the p99 tail of the Fig 9 cluster workload to \
              mechanisms, and diff the tail composition of two runtimes.")
     Term.(const run $ a_arg $ b_arg $ diff_flag $ cloud $ containers
-          $ connections $ tail $ slowest $ csv $ folded $ jobs)
+          $ connections 5 $ tail_or_p99 $ slowest 0 $ csv $ folded $ jobs)
 
 let trace_cmd =
   Cmd.group
@@ -1160,15 +1096,6 @@ let top_cmd =
                   memcached, redis, ...) — the workloads that drive the \
                   sim engine, whose clock paces the snapshots.")
   in
-  let runtime =
-    Arg.(value & opt runtime_conv Xc_platforms.Config.X_container
-        & info [ "runtime"; "r" ]
-            ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container.")
-  in
-  let cloud =
-    Arg.(value & opt cloud_conv Xc_platforms.Config.Amazon_ec2
-        & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
-  in
   let interval =
     Arg.(value & opt float 50.
         & info [ "interval"; "i" ] ~docv:"N"
@@ -1180,13 +1107,6 @@ let top_cmd =
             ~doc:"Snapshot lines to print, evenly spaced across the run \
                   and ending at the last one.")
   in
-  let timeseries =
-    Arg.(value & opt (some string) None
-        & info [ "timeseries" ] ~docv:"FILE"
-            ~doc:"Write the full time-series as Chrome counter events, or \
-                  CSV when FILE ends in .csv (byte-identical across \
-                  --jobs).")
-  in
   let rate =
     Arg.(value & opt ~vopt:(Some 1) (some int) None
         & info [ "rate" ] ~docv:"W"
@@ -1194,12 +1114,6 @@ let top_cmd =
                   over its last W snapshot intervals (bare --rate means \
                   W=1) instead of the cumulative total.  Gauges and \
                   distributions are unchanged.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-        & info [ "jobs"; "j" ]
-            ~doc:"Worker domains for the cluster workload (default \
-                  \\$XC_JOBS or 1); snapshots are identical at any value.")
   in
   let alert =
     Arg.(value & opt_all string []
@@ -1231,36 +1145,24 @@ let top_cmd =
         exit_err
           (Printf.sprintf "--rate expects a positive number of intervals, got %d" w)
     | _ -> ());
-    let jobs = jobs_or_exit jobs in
     let exp = String.lowercase_ascii exp in
     let config = Xc_platforms.Config.make ~cloud runtime in
     let platform = Xc_platforms.Platform.create config in
-    let closed_loop ~duration_ns ~warmup_ns app =
-      let server = Xcontainers.Figures.server_for_public config platform app in
-      fun () ->
-        ignore
-          (Xc_platforms.Closed_loop.run
-             { Xc_platforms.Closed_loop.default_config with duration_ns; warmup_ns }
-             server)
-    in
     let workload =
-      if exp = "cluster" then (
-        let cs_config = Xc_platforms.Cluster_sim.config_of_platform platform in
-        fun () -> ignore (Xc_platforms.Cluster_sim.run_sweep ~jobs [ cs_config ]))
-      else if exp = "closed-loop" then
-        closed_loop ~duration_ns:3e7 ~warmup_ns:3e6 `Nginx
-      else
-        match List.assoc_opt exp app_table with
-        | Some app -> closed_loop ~duration_ns:2e8 ~warmup_ns:2e7 app
-        | None ->
-            exit_err
-              (Printf.sprintf
-                 "unknown workload %S; one of: cluster closed-loop %s" exp
-                 (String.concat ", " (List.map fst app_table)))
+      match engine_workload ~jobs ~traced:false config platform exp with
+      | Some (_, w) -> w
+      | None ->
+          exit_err
+            (Printf.sprintf
+               "unknown workload %S; one of: cluster closed-loop %s" exp
+               (String.concat ", " (List.map fst app_table)))
     in
-    M.enable ~interval_ns:(interval_us *. 1e3) ();
-    let (), telemetry = M.capture workload in
-    M.disable ();
+    let m =
+      Capture.(
+        with_capture ~metrics:true ~interval_ns:(interval_us *. 1e3) (fun () ->
+            measure workload))
+    in
+    let telemetry = m.telemetry in
     let firings =
       if alert_rules = [] then [] else M.firings ~rules:alert_rules telemetry
     in
@@ -1377,12 +1279,11 @@ let top_cmd =
       if firings = [] then print_string "(no alerts fired)\n"
       else print_string (M.render_firings firings)
     end;
-    match timeseries with
-    | Some path ->
-        Xc_trace.Export.to_file ~path
-          [ (exp ^ "/telemetry", M.to_trace_events telemetry) ];
-        Printf.printf "\nwrote %s (%d snapshots)\n" path n
-    | None -> ()
+    Option.iter
+      (fun path ->
+        Printf.printf "\nwrote %s (%d snapshots)\n" path
+          (Capture.write_timeseries ~path [ (exp ^ "/telemetry", m) ]))
+      timeseries
   in
   Cmd.v
     (Cmd.info "top"
@@ -1395,7 +1296,6 @@ let top_cmd =
 (* ---------------- xc cluster ---------------- *)
 
 let cluster_cmd =
-  let module CS = Xc_platforms.Cluster_sim in
   let fidelity_arg =
     Arg.(value & opt string "exact"
         & info [ "fidelity"; "f" ] ~docv:"TIER"
@@ -1405,79 +1305,23 @@ let cluster_cmd =
                   plus a seeded exact slice for the tail).")
   in
   let sample_rate =
-    Arg.(value & opt (some int) None
-        & info [ "sample-rate" ] ~docv:"N"
-            ~doc:"Mixed tier only: 1 in N containers runs through the \
-                  exact slice (default 100).")
+    Term.(
+      const (Option.map (positive "sample-rate"))
+      $ Arg.(value & opt (some int) None
+            & info [ "sample-rate" ] ~docv:"N"
+                ~doc:"Mixed tier only: 1 in N containers runs through the \
+                      exact slice (default 100)."))
   in
   let nodes =
-    Arg.(value & opt int 1
-        & info [ "nodes" ] ~docv:"N"
-            ~doc:"Independent nodes to simulate; node i derives its seed \
-                  from the base seed + i.")
+    Term.(
+      const (positive "nodes")
+      $ Arg.(value & opt int 1
+            & info [ "nodes" ] ~docv:"N"
+                ~doc:"Independent nodes to simulate; node i derives its \
+                      seed from the base seed + i."))
   in
-  let containers =
-    Arg.(value & opt int 4
-        & info [ "containers" ] ~docv:"N" ~doc:"Containers per node.")
-  in
-  let connections =
-    Arg.(value & opt int 5
-        & info [ "connections" ] ~docv:"N"
-            ~doc:"Closed-loop client connections per container.")
-  in
-  let runtime =
-    Arg.(value & opt runtime_conv Xc_platforms.Config.X_container
-        & info [ "runtime"; "r" ]
-            ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container.")
-  in
-  let cloud =
-    Arg.(value & opt cloud_conv Xc_platforms.Config.Amazon_ec2
-        & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
-  in
-  let tail =
-    Arg.(value & opt (some string) None
-        & info [ "tail" ] ~docv:"PCT"
-            ~doc:"Attribute the PCT tail (e.g. p99) of the exact/mixed \
-                  request population across mechanisms.")
-  in
-  let tails_out =
-    Arg.(value & opt (some string) None
-        & info [ "tails" ] ~docv:"FILE"
-            ~doc:"With --tail: also write the attribution as a tails CSV \
-                  (byte-identical across --jobs).")
-  in
-  let timeseries =
-    Arg.(value & opt (some string) None
-        & info [ "timeseries" ] ~docv:"FILE"
-            ~doc:"Sample the metric registry every 50 sim-us and write the \
-                  time-series as Chrome counter events, or CSV when FILE \
-                  ends in .csv (byte-identical across --jobs).")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-        & info [ "jobs"; "j" ]
-            ~doc:"Worker domains for the node sweep (default \\$XC_JOBS or \
-                  1); results and every artifact are identical at any \
-                  value.")
-  in
-  let run fidelity sample_rate nodes containers connections runtime cloud tail
-      tails_out timeseries jobs =
-    let module Trace = Xc_trace.Trace in
-    let module Export = Xc_trace.Export in
-    let module Profile = Xc_trace.Profile in
-    if nodes < 1 then
-      exit_err (Printf.sprintf "--nodes expects a positive integer, got %d" nodes);
-    if containers < 1 then
-      exit_err
-        (Printf.sprintf "--containers expects a positive integer, got %d" containers);
-    if connections < 1 then
-      exit_err
-        (Printf.sprintf "--connections expects a positive integer, got %d" connections);
-    (match sample_rate with
-    | Some n when n < 1 ->
-        exit_err
-          (Printf.sprintf "--sample-rate expects a positive integer, got %d" n)
-    | _ -> ());
+  let run fidelity sample_rate nodes containers connections runtime cloud
+      tail_cut timeseries jobs =
     let fidelity =
       match (String.lowercase_ascii fidelity, sample_rate) with
       | "exact", None -> CS.Exact
@@ -1490,10 +1334,7 @@ let cluster_cmd =
             (Printf.sprintf
                "--fidelity expects exact, fluid or mixed, got %S" other)
     in
-    let jobs = jobs_or_exit jobs in
-    let tail_pct = Option.map parse_tail_pct tail in
-    if tails_out <> None && tail_pct = None then exit_err "--tails needs --tail";
-    (match (fidelity, tail_pct) with
+    (match (fidelity, tail_cut) with
     | CS.Fluid, Some _ ->
         exit_err
           "--tail needs per-request machinery: use --fidelity exact or mixed"
@@ -1507,15 +1348,13 @@ let cluster_cmd =
     let configs =
       List.init nodes (fun i -> { base with CS.seed = base.CS.seed + i })
     in
-    if timeseries <> None then Xc_sim.Metrics.enable ();
-    if tail_pct <> None then Trace.enable ~capacity:(1 lsl 18) ();
-    let results, telemetry =
-      Xc_sim.Metrics.capture (fun () ->
-          Trace.capture (fun () -> CS.run_sweep ~jobs ~fidelity configs))
+    let m =
+      Capture.(
+        with_capture ~trace:(tail_cut <> None) ~capacity:(1 lsl 18)
+          ~metrics:(timeseries <> None) (fun () ->
+            measure (fun () -> CS.run_sweep ~jobs ~fidelity configs)))
     in
-    let results, captured = results in
-    Trace.disable ();
-    Xc_sim.Metrics.disable ();
+    let results = m.value in
     let tier_name =
       match fidelity with
       | CS.Exact -> "exact"
@@ -1576,30 +1415,28 @@ let cluster_cmd =
        %.0f%%\n"
       (Xc_sim.Table.fmt_si total_rps)
       (mean_lat /. 1e3) (fmt_p99 worst_p99) (100. *. mean_busy);
-    (match tail_pct with
-    | None -> ()
-    | Some pct -> (
+    Option.iter
+      (fun (pct, tails_out) ->
         print_newline ();
         let label = Printf.sprintf "cluster/%s" (Xc_platforms.Config.name config) in
-        match tail_of_events ~label ~pct captured.Trace.events with
+        match Xc_trace.Profile.(tail_at ~label ~pct (attribute m.trace.events)) with
         | None ->
             print_string
               "(no request spans in trace; the exact slice produced no \
                measured requests)\n"
-        | Some t -> (
-            print_string (Profile.render_tail ~slowest:0 t);
-            match tails_out with
-            | Some path ->
-                Export.tails_to_file ~path [ t ];
-                Printf.printf "wrote %s\n" path
-            | None -> ())));
-    match timeseries with
-    | Some path ->
-        Export.to_file ~path
-          [ ("cluster/telemetry", Xc_sim.Metrics.to_trace_events telemetry) ];
+        | Some t ->
+            print_string (Xc_trace.Profile.render_tail ~slowest:0 t);
+            Option.iter
+              (fun path ->
+                Xc_trace.Export.tails_to_file ~path [ t ];
+                Printf.printf "wrote %s\n" path)
+              tails_out)
+      tail_cut;
+    Option.iter
+      (fun path ->
         Printf.printf "\nwrote %s (%d snapshots)\n" path
-          (List.length telemetry.Xc_sim.Metrics.snapshots)
-    | None -> ()
+          (Capture.write_timeseries ~path [ ("cluster/telemetry", m) ]))
+      timeseries
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -1607,8 +1444,7 @@ let cluster_cmd =
              tier: exact event-driven, fluid analytic (MVA), or mixed — \
              fluid bulk with a seeded exact slice for tail attribution.")
     Term.(const run $ fidelity_arg $ sample_rate $ nodes $ containers
-          $ connections $ runtime $ cloud $ tail $ tails_out $ timeseries
-          $ jobs)
+          $ connections 5 $ runtime $ cloud $ tail_cut $ timeseries $ jobs)
 
 (* ---------------- xc causal ---------------- *)
 
@@ -1628,56 +1464,9 @@ let causal_mech_doc =
 let whatif_or_exit mech scale =
   match Xc_obs.Whatif.make ~mech ~scale with Ok w -> w | Error e -> exit_err e
 
-let causal_target ~cloud ~containers ~connections ~duration_ms ~warmup_ms ~seed
-    runtime =
-  let module CS = Xc_platforms.Cluster_sim in
-  if containers < 1 then
-    exit_err
-      (Printf.sprintf "--containers expects a positive integer, got %d" containers);
-  if connections < 1 then
-    exit_err
-      (Printf.sprintf "--connections expects a positive integer, got %d" connections);
-  if (not (Float.is_finite duration_ms)) || duration_ms <= 0. then
-    exit_err
-      (Printf.sprintf
-         "--duration-ms expects a positive number of sim-milliseconds, got %g"
-         duration_ms);
-  if (not (Float.is_finite warmup_ms)) || warmup_ms < 0. || warmup_ms >= duration_ms
-  then
-    exit_err
-      (Printf.sprintf "--warmup-ms expects 0 <= W < duration, got %g" warmup_ms);
-  let config = Xc_platforms.Config.make ~cloud runtime in
-  let platform = Xc_platforms.Platform.create config in
-  let base =
-    {
-      (CS.config_of_platform ~containers ~connections platform) with
-      CS.duration_ns = duration_ms *. 1e6;
-      warmup_ns = warmup_ms *. 1e6;
-    }
-  in
-  let base = match seed with None -> base | Some s -> { base with CS.seed = s } in
-  {
-    Xc_obs.Causal.label =
-      Printf.sprintf "%s/c%d" (Xc_suite.Spec.runtime_to_string runtime) connections;
-    config = base;
-  }
-
-let causal_common_args =
-  let cloud =
-    Arg.(value & opt cloud_conv Xc_platforms.Config.Amazon_ec2
-        & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
-  in
-  let containers =
-    Arg.(value & opt int 4
-        & info [ "containers" ] ~docv:"N" ~doc:"Containers per node.")
-  in
-  let connections =
-    Arg.(value & opt int 1
-        & info [ "connections" ] ~docv:"N"
-            ~doc:"Closed-loop client connections per container.  1 is the \
-                  off-knee regime where the linear prediction holds; 5 is \
-                  the Fig 9 queueing knee where it visibly under-shoots.")
-  in
+(* The cluster target every causal command runs, priced per runtime:
+   the validated shared flags in, a function of the runtime out. *)
+let causal_target =
   let duration_ms =
     Arg.(value & opt float 100.
         & info [ "duration-ms" ] ~docv:"MS"
@@ -1691,17 +1480,39 @@ let causal_common_args =
     Arg.(value & opt (some int) None
         & info [ "seed" ] ~doc:"PRNG seed (default: the platform config's).")
   in
-  (cloud, containers, connections, duration_ms, warmup_ms, seed)
+  let make cloud containers connections duration_ms warmup_ms seed =
+    if (not (Float.is_finite duration_ms)) || duration_ms <= 0. then
+      exit_err
+        (Printf.sprintf
+           "--duration-ms expects a positive number of sim-milliseconds, got %g"
+           duration_ms);
+    if
+      (not (Float.is_finite warmup_ms)) || warmup_ms < 0. || warmup_ms >= duration_ms
+    then
+      exit_err
+        (Printf.sprintf "--warmup-ms expects 0 <= W < duration, got %g" warmup_ms);
+    fun runtime ->
+      let config = Xc_platforms.Config.make ~cloud runtime in
+      let platform = Xc_platforms.Platform.create config in
+      let base =
+        {
+          (CS.config_of_platform ~containers ~connections platform) with
+          CS.duration_ns = duration_ms *. 1e6;
+          warmup_ns = warmup_ms *. 1e6;
+        }
+      in
+      {
+        Xc_obs.Causal.label =
+          Printf.sprintf "%s/c%d" (Xc_suite.Spec.runtime_to_string runtime)
+            connections;
+        config = (match seed with None -> base | Some s -> { base with CS.seed = s });
+      }
+  in
+  Term.(
+    const make $ cloud $ containers $ connections 1 $ duration_ms $ warmup_ms
+    $ seed)
 
 let causal_run_cmd =
-  let cloud, containers, connections, duration_ms, warmup_ms, seed =
-    causal_common_args
-  in
-  let runtime =
-    Arg.(value & opt runtime_conv Xc_platforms.Config.X_container
-        & info [ "runtime"; "r" ]
-            ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container.")
-  in
   let mech =
     Arg.(value & opt string Mechanism.(to_string Syscall_entry)
         & info [ "mech"; "m" ] ~docv:"MECH" ~doc:causal_mech_doc)
@@ -1712,13 +1523,9 @@ let causal_run_cmd =
             ~doc:"Cost multiplier in [0, 10]: 0.7 asks \"what if this \
                   mechanism were 30% cheaper\".")
   in
-  let run runtime cloud containers connections duration_ms warmup_ms seed mech
-      scale =
+  let run target runtime mech scale =
     let w = whatif_or_exit mech scale in
-    let target =
-      causal_target ~cloud ~containers ~connections ~duration_ms ~warmup_ms
-        ~seed runtime
-    in
+    let target = target runtime in
     match Xc_obs.Causal.run_point target w with
     | Error e -> exit_err e
     | Ok (b, pt) ->
@@ -1730,18 +1537,11 @@ let causal_run_cmd =
     (Cmd.info "run"
        ~doc:"One what-if point: traced baseline, critical-path shares, and \
              the predicted vs actually-rerun speedup.")
-    Term.(const run $ runtime $ cloud $ containers $ connections $ duration_ms
-          $ warmup_ms $ seed $ mech $ scale)
+    Term.(const run $ causal_target $ runtime $ mech $ scale)
 
 let causal_sweep_cmd =
-  let cloud, containers, connections, duration_ms, warmup_ms, seed =
-    causal_common_args
-  in
   let runtimes =
-    Arg.(value & opt_all runtime_conv []
-        & info [ "runtime"; "r" ]
-            ~doc:"Runtime to sweep (repeatable; default docker and \
-                  x-container).")
+    Arg.(value & opt_all runtime_conv [] runtime_info)
   in
   let mechs =
     Arg.(value & opt_all string []
@@ -1755,22 +1555,7 @@ let causal_sweep_cmd =
         & info [ "scale"; "s" ] ~docv:"S"
             ~doc:"Cost multiplier to sweep (repeatable; default 0.7).")
   in
-  let csv_out =
-    Arg.(value & opt (some string) None
-        & info [ "csv" ] ~docv:"FILE"
-            ~doc:"Also write every point as CSV (byte-identical across \
-                  --jobs).")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-        & info [ "jobs"; "j" ]
-            ~doc:"Worker domains for the baseline/rerun fan-out (default \
-                  \\$XC_JOBS or 1); output and the CSV are identical at \
-                  any value.")
-  in
-  let run runtimes cloud containers connections duration_ms warmup_ms seed
-      mechs scales csv_out jobs =
-    let jobs = jobs_or_exit jobs in
+  let run target runtimes mechs scales csv_out jobs =
     let runtimes =
       if runtimes <> [] then runtimes
       else [ Xc_platforms.Config.Docker; Xc_platforms.Config.X_container ]
@@ -1785,12 +1570,7 @@ let causal_sweep_cmd =
     let whatifs =
       List.concat_map (fun mech -> List.map (whatif_or_exit mech) scales) mechs
     in
-    let targets =
-      List.map
-        (causal_target ~cloud ~containers ~connections ~duration_ms ~warmup_ms
-           ~seed)
-        runtimes
-    in
+    let targets = List.map target runtimes in
     match Xc_obs.Causal.sweep ~jobs ~targets ~whatifs () with
     | Error e -> exit_err e
     | Ok (baselines, points) ->
@@ -1800,58 +1580,39 @@ let causal_sweep_cmd =
             print_newline ())
           baselines;
         print_string (Xc_obs.Causal.render_points points);
-        (match csv_out with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Xc_obs.Causal.points_csv points);
-            close_out oc;
+        Option.iter
+          (fun path ->
+            write_file path (Xc_obs.Causal.points_csv points);
             Printf.eprintf "[xc causal] wrote %s (%d point(s))\n%!" path
               (List.length points))
+          csv_out
   in
   Cmd.v
     (Cmd.info "sweep"
-       ~doc:"The full what-if grid: one traced baseline per runtime, one \
+       ~doc:"The full what-if grid: one traced baseline per runtime (a \
+             repeatable --runtime; default docker and x-container), one \
              re-priced rerun per (runtime x mechanism x scale), predicted \
              vs rerun side by side — byte-identical at any --jobs.")
-    Term.(const run $ runtimes $ cloud $ containers $ connections $ duration_ms
-          $ warmup_ms $ seed $ mechs $ scales $ csv_out $ jobs)
+    Term.(const run $ causal_target $ runtimes $ mechs $ scales $ csv $ jobs)
 
 let causal_explain_cmd =
-  let cloud, containers, connections, duration_ms, warmup_ms, seed =
-    causal_common_args
-  in
-  let runtime =
-    Arg.(value & opt runtime_conv Xc_platforms.Config.X_container
-        & info [ "runtime"; "r" ]
-            ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container.")
-  in
-  let slowest =
-    Arg.(value & opt int 3
-        & info [ "slowest" ] ~docv:"K"
-            ~doc:"Render the K slowest requests' full blame chains.")
-  in
-  let run runtime cloud containers connections duration_ms warmup_ms seed
-      slowest =
+  let run target runtime slowest =
     if slowest < 0 then
       exit_err
         (Printf.sprintf "--slowest expects a non-negative integer, got %d" slowest);
     let module CP = Xc_obs.Critical_path in
-    let target =
-      causal_target ~cloud ~containers ~connections ~duration_ms ~warmup_ms
-        ~seed runtime
+    let target = target runtime in
+    let m =
+      Capture.(
+        with_capture ~trace:true ~capacity:(1 lsl 18) (fun () ->
+            measure (fun () -> CS.run target.Xc_obs.Causal.config)))
     in
-    let result, captured =
-      Xc_obs.Causal.with_tracing (fun () ->
-          Xc_trace.Trace.capture (fun () ->
-              Xc_platforms.Cluster_sim.run target.Xc_obs.Causal.config))
-    in
-    let cp = CP.extract captured.Xc_trace.Trace.events in
+    let cp = CP.extract m.trace.events in
     let summary = CP.summarize cp in
     Printf.printf "%s: %.0f req/s, mean %.0fus, p99 %.0fus\n\n"
-      target.Xc_obs.Causal.label result.Xc_platforms.Cluster_sim.throughput_rps
-      (result.Xc_platforms.Cluster_sim.mean_latency_ns /. 1e3)
-      (result.Xc_platforms.Cluster_sim.p99_latency_ns /. 1e3);
+      target.Xc_obs.Causal.label m.value.CS.throughput_rps
+      (m.value.CS.mean_latency_ns /. 1e3)
+      (m.value.CS.p99_latency_ns /. 1e3);
     print_string (CP.render summary);
     let rec take k = function
       | c :: rest when k > 0 -> c :: take (k - 1) rest
@@ -1868,8 +1629,7 @@ let causal_explain_cmd =
        ~doc:"Traced critical-path extraction only: the aggregate blame \
              shares plus the slowest requests' full chains (each chain's \
              segments telescope exactly to the request's duration).")
-    Term.(const run $ runtime $ cloud $ containers $ connections $ duration_ms
-          $ warmup_ms $ seed $ slowest)
+    Term.(const run $ causal_target $ runtime $ slowest 3)
 
 let causal_cmd =
   Cmd.group
@@ -2045,26 +1805,6 @@ let lb_sweep_cmd =
           $ seed)
 
 let lb_tail_cmd =
-  let runtime =
-    Arg.(value & opt runtime_conv Xc_platforms.Config.X_container
-        & info [ "runtime"; "r" ]
-            ~doc:"Runtime: docker, gvisor, clear, xen-container, x-container.")
-  in
-  let cloud =
-    Arg.(value & opt cloud_conv Xc_platforms.Config.Amazon_ec2
-        & info [ "cloud"; "c" ] ~doc:"Cloud: amazon, google, local.")
-  in
-  let containers =
-    Arg.(value & opt int 4
-        & info [ "containers" ] ~doc:"Containers in the cluster config.")
-  in
-  let connections =
-    Arg.(value & opt int 5
-        & info [ "connections" ]
-            ~doc:"Closed-loop connections per container; at the default 5 \
-                  the vCPU saturates and the queueing tail is what the \
-                  policies compete over.")
-  in
   let policy =
     Arg.(value & opt (some string) None
         & info [ "policy"; "p" ] ~docv:"POLICY"
@@ -2076,23 +1816,7 @@ let lb_tail_cmd =
         & info [ "clones"; "d" ] ~docv:"D"
             ~doc:"Run only this clone factor; default compares 1 and 2.")
   in
-  let tail =
-    Arg.(value & opt string "p99"
-        & info [ "tail" ] ~docv:"PCT"
-            ~doc:"Tail percentile cut for the trace diff (e.g. p99, 99.9).")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-        & info [ "jobs"; "j" ]
-            ~doc:"Worker domains per cluster sweep (default \\$XC_JOBS or \
-                  1); output is identical at any value.")
-  in
-  let run runtime cloud containers connections policy clones tailstr jobs =
-    let module Trace = Xc_trace.Trace in
-    let pct = parse_tail_pct tailstr in
-    let jobs = jobs_or_exit jobs in
-    if containers < 1 then exit_err "--containers must be positive";
-    if connections < 1 then exit_err "--connections must be positive";
+  let run runtime cloud containers connections policy clones pct jobs =
     let kinds =
       match policy with
       | None -> Xc_lb.Policy.all_kinds
@@ -2204,17 +1928,7 @@ let lb_tail_cmd =
       ((wr.Xc_platforms.Cluster_sim.p99_latency_ns
        -. baseline.Xc_platforms.Cluster_sim.p99_latency_ns)
       /. baseline.Xc_platforms.Cluster_sim.p99_latency_ns *. 100.);
-    let traced label cs =
-      Trace.enable ~capacity:(1 lsl 18) ();
-      let (), captured =
-        Trace.capture (fun () ->
-            ignore (Xc_platforms.Cluster_sim.run_sweep ~jobs [ cs ]))
-      in
-      Trace.disable ();
-      match tail_of_events ~label ~pct captured.Trace.events with
-      | Some t -> t
-      | None -> exit_err (label ^ ": trace has no request spans")
-    in
+    let traced label cs = fst (cluster_tail ~jobs ~pct ~label cs) in
     let name = Xc_platforms.Config.name config in
     let ta = traced ("cluster/" ^ name) base in
     let tb =
@@ -2232,8 +1946,8 @@ let lb_tail_cmd =
        ~doc:"Race the hedging policy/clone grid against the home-pinned \
              Fig 9 cluster baseline and attribute the winning tail delta \
              to mechanisms.")
-    Term.(const run $ runtime $ cloud $ containers $ connections $ policy
-          $ clones $ tail $ jobs)
+    Term.(const run $ runtime $ cloud $ containers $ connections 5 $ policy
+          $ clones $ tail_or_p99 $ jobs)
 
 let lb_cmd =
   Cmd.group
@@ -2294,10 +2008,6 @@ let bench_scale_cmd =
     Arg.(value & opt float 40.
         & info [ "duration" ] ~docv:"MS"
             ~doc:"Simulated duration per sweep point, in ms.")
-  in
-  let containers =
-    Arg.(value & opt (list int) [ 8; 16 ]
-        & info [ "containers" ] ~doc:"Comma-separated container counts.")
   in
   let run max_jobs duration_ms counts =
     if max_jobs < 1 then
@@ -2360,7 +2070,7 @@ let bench_scale_cmd =
        ~doc:"Run the sharded cluster sweep at --jobs 1..N and print the \
              speedup-per-jobs table; exits nonzero if any job count \
              changes a result.")
-    Term.(const run $ max_jobs $ duration_ms $ containers)
+    Term.(const run $ max_jobs $ duration_ms $ container_counts [ 8; 16 ])
 
 (* ---------------- xc bench history ---------------- *)
 
@@ -2440,24 +2150,17 @@ let bench_history_plot_cmd =
         & info [ "experiment"; "e" ] ~docv:"NAME"
             ~doc:"Restrict to one series (\"total\" or an experiment name).")
   in
-  let csv =
-    Arg.(value & opt (some string) None
-        & info [ "csv" ] ~docv:"FILE"
-            ~doc:"Also write every series as CSV rows.")
-  in
   let run history experiment csv =
     match Xc_sim.Bench_history.of_file history with
     | Error e -> exit_err e
     | Ok [] -> exit_err (history ^ ": empty history — append a run first")
     | Ok entries -> (
         print_string (Xc_sim.Bench_history.plot ?experiment entries);
-        match csv with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Xc_sim.Bench_history.to_csv entries);
-            close_out oc;
-            Printf.printf "wrote %s\n" path
-        | None -> ())
+        Option.iter
+          (fun path ->
+            write_file path (Xc_sim.Bench_history.to_csv entries);
+            Printf.printf "wrote %s\n" path)
+          csv)
   in
   Cmd.v
     (Cmd.info "plot"
@@ -2565,48 +2268,12 @@ let suite_show_cmd =
     Term.(const run $ suite_name_arg)
 
 let suite_run_cmd =
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ]
-          ~doc:"Worker domains (default \\$XC_JOBS or 1; 0 = auto).")
-  in
-  let csv_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the result rows as CSV.")
-  in
-  let tails_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tails" ] ~docv:"FILE"
-          ~doc:"Write p99 tail attribution for traced experiments (specs \
-                with trace/tails set).")
-  in
-  let ts_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "timeseries" ] ~docv:"FILE"
-          ~doc:"Write telemetry snapshots of timeseries-capturing specs \
-                (CSV or Chrome JSON by extension).")
-  in
   let run name jobs csv_out tails_out ts_out =
-    let jobs = jobs_or_exit jobs in
     match resolve_runnable name with
     | Error e -> exit_err e
     | Ok suite ->
         let wants_trace = Suite_driver.wants_trace suite in
         let wants_ts = Suite_driver.wants_timeseries suite in
-        if wants_trace then
-          Xc_trace.Trace.enable ~sample:(Suite_driver.sample_stride suite) ();
-        if wants_ts then
-          Xc_sim.Metrics.enable
-            ~interval_ns:(float_of_int (Suite_driver.interval_us suite) *. 1e3)
-            ();
         if tails_out <> None && not wants_trace then
           Printf.eprintf
             "[xc suite] warning: --tails given but no spec enables \
@@ -2615,78 +2282,45 @@ let suite_run_cmd =
           Printf.eprintf
             "[xc suite] warning: --timeseries given but no spec enables \
              timeseries capture; the artifact will be empty\n%!";
-        let outcomes = Suite_driver.run_suite ~jobs suite in
-        let rows =
-          List.map (fun (o : Suite_driver.outcome) -> o.Suite_driver.row) outcomes
+        let outcomes =
+          Capture.with_capture ~trace:wants_trace
+            ~sample:(Suite_driver.sample_stride suite) ~metrics:wants_ts
+            ~interval_ns:(float_of_int (Suite_driver.interval_us suite) *. 1e3)
+            (fun () -> Suite_driver.run_suite ~jobs suite)
         in
+        let rows = List.map (fun (_, (o : _ Capture.measured)) -> o.value) outcomes in
         print_string
           (Suite_driver.render
              ~title:(Printf.sprintf "Suite: %s" suite.Suite.name)
              rows);
-        (match csv_out with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Suite_driver.csv rows);
-            close_out oc;
-            Printf.eprintf "[xc suite] wrote %s\n%!" path);
-        (match tails_out with
-        | None -> ()
-        | Some path ->
-            (* The bench tails pipeline: per-experiment tracks, p99 cut
-               over request totals, per-mechanism partition — so a suite
-               artifact is directly comparable with a bench one. *)
-            let tracks =
-              List.map
-                (fun (o : Suite_driver.outcome) ->
-                  ( o.Suite_driver.row.Suite_driver.spec.Xc_suite.Spec.name,
-                    o.Suite_driver.trace.Xc_trace.Trace.events ))
-                outcomes
-            in
-            let tails =
-              List.filter_map
-                (fun (label, events) ->
-                  let att = Xc_trace.Profile.attribute events in
-                  match Xc_trace.Profile.request_totals att with
-                  | [] -> None
-                  | totals ->
-                      let cut =
-                        Xc_sim.Histogram.percentile_floor
-                          (Xc_sim.Histogram.of_samples totals)
-                          99.
-                      in
-                      Some (Xc_trace.Profile.tail_of ~label ~pct:99. ~cut_ns:cut att))
-                tracks
-            in
-            Xc_trace.Export.tails_to_file ~path tails;
+        Option.iter
+          (fun path ->
+            write_file path (Suite_driver.csv rows);
+            Printf.eprintf "[xc suite] wrote %s\n%!" path)
+          csv_out;
+        (* The bench tails pipeline: one track per spec, p99 cut over
+           request totals, per-mechanism partition — so a suite artifact
+           is directly comparable with a bench one. *)
+        Option.iter
+          (fun path ->
             Printf.eprintf "[xc suite] wrote %s (%d request-emitting track(s))\n%!"
-              path (List.length tails));
-        (match ts_out with
-        | None -> ()
-        | Some path ->
-            let tracks =
-              List.map
-                (fun (o : Suite_driver.outcome) ->
-                  ( o.Suite_driver.row.Suite_driver.spec.Xc_suite.Spec.name,
-                    Xc_sim.Metrics.to_trace_events o.Suite_driver.telemetry ))
-                outcomes
-            in
-            Xc_trace.Export.to_file ~path tracks;
-            Printf.eprintf "[xc suite] wrote %s\n%!" path);
-        let events =
-          List.fold_left
-            (fun a (o : Suite_driver.outcome) -> a + o.Suite_driver.events)
-            0 outcomes
-        in
+              path (Capture.write_tails ~path outcomes))
+          tails_out;
+        Option.iter
+          (fun path ->
+            ignore (Capture.write_timeseries ~path outcomes);
+            Printf.eprintf "[xc suite] wrote %s\n%!" path)
+          ts_out;
         Printf.eprintf "[xc suite] %d experiment(s), %d domain(s), %d events\n%!"
-          (List.length outcomes) jobs events
+          (List.length outcomes) jobs
+          (List.fold_left (fun a (_, (o : _ Capture.measured)) -> a + o.events) 0 outcomes)
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:"Run a named suite or a spec file through the generic driver: \
              every experiment is one pool shard, output and artifacts are \
              byte-identical at any --jobs.")
-    Term.(const run $ suite_name_arg $ jobs $ csv_out $ tails_out $ ts_out)
+    Term.(const run $ suite_name_arg $ jobs $ csv $ tails $ timeseries)
 
 let suite_cmd =
   Cmd.group

@@ -27,12 +27,7 @@ type point = {
   pt_rerun : CS.result;
 }
 
-let with_tracing ?(capacity = 1 lsl 18) f =
-  if Xc_trace.Trace.enabled () then f ()
-  else begin
-    Xc_trace.Trace.enable ~capacity ();
-    Fun.protect ~finally:Xc_trace.Trace.disable f
-  end
+let traced f = Xc_sim.Capture.with_capture ~trace:true ~capacity:(1 lsl 18) f
 
 (* Mean attributed ns per request for each mechanism category, over a
    request list.  Deterministic: categories sorted by name. *)
@@ -62,16 +57,9 @@ let measure_baseline config =
   let path = Critical_path.of_events captured.Xc_trace.Trace.events in
   let n_requests = List.length att.P.areqs in
   let p99_cut_ns, mech_tail_mean =
-    match P.request_totals att with
-    | [] -> (0., [])
-    | totals ->
-        let cut =
-          Xc_sim.Histogram.percentile_floor
-            (Xc_sim.Histogram.of_samples totals)
-            99.
-        in
-        let tail = P.tail_of ~pct:99. ~cut_ns:cut att in
-        (cut, mech_means tail.P.tail)
+    match P.tail_at ~pct:99. att with
+    | None -> (0., [])
+    | Some t -> (t.P.cut_ns, mech_means t.P.tail)
   in
   {
     base = result;
@@ -112,7 +100,7 @@ let ( let* ) = Result.bind
 
 let run_point target w =
   let* rerun_config = Whatif.apply_cluster w target.config in
-  let b = with_tracing (fun () -> measure_baseline target.config) in
+  let b = traced (fun () -> measure_baseline target.config) in
   let rerun = CS.run rerun_config in
   Ok (b, point ~label:target.label b w rerun)
 
@@ -163,7 +151,7 @@ let sweep ?jobs ~targets ~whatifs () =
         cells
   in
   let results =
-    with_tracing (fun () -> Xc_sim.Parallel.run_sharded ?jobs shards)
+    traced (fun () -> Xc_sim.Parallel.run_sharded ?jobs shards)
   in
   let baselines, rerun_results =
     List.partition_map

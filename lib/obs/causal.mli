@@ -22,7 +22,8 @@
     ([--connections 5]) the rerun moves further than the share says —
     exactly the regime where the fig9 tail is queueing-dominated.
 
-    Baselines run traced ({!with_tracing}); rerun points are plain
+    Baselines run traced (a [2^18]-event ring unless tracing is
+    already on); rerun points are plain
     runs.  {!sweep} fans baselines and reruns out over the
     {!Xc_sim.Parallel} shard layer and reassembles in submission
     order, so every artifact is byte-identical at any [--jobs]. *)
@@ -58,15 +59,9 @@ type point = {
   pt_rerun : CS.result;
 }
 
-val with_tracing : ?capacity:int -> (unit -> 'a) -> 'a
-(** Run [f] with tracing enabled: a no-op wrapper when tracing is
-    already on (sampling and capacity inherited), otherwise enables an
-    unsampled ring of [capacity] (default [2^18]) events and disables
-    again afterwards (also on exceptions). *)
-
 val measure_baseline : CS.config -> baseline
 (** One traced run plus its attribution and critical-path summary.
-    Call under {!with_tracing}; with tracing off (or a config without
+    Call with tracing on ({!Xc_sim.Capture.with_capture}); with tracing off (or a config without
     [request_mech] pricing) the attribution comes back empty and
     predictions degenerate to the baseline. *)
 

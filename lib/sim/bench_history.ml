@@ -12,24 +12,18 @@ type entry = {
 }
 
 let to_line e =
-  let buf = Buffer.create 512 in
   let s = e.summary in
-  Printf.bprintf buf
+  Printf.sprintf
     "{\"schema_version\": %d, \"git\": \"%s\", \"jobs\": %d, \
      \"total_wall_s\": %f, \"total_events\": %d, \"events_per_sec\": %.1f, \
-     \"experiments\": ["
-    s.schema_version s.git s.jobs s.total_wall_s s.total_events
-    s.events_per_sec;
-  List.iteri
-    (fun i (x : Bench_json.experiment) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Printf.bprintf buf
-        "{\"name\": \"%s\", \"wall_s\": %f, \"events\": %d, \
-         \"events_per_sec\": %.1f}"
-        x.name x.wall_s x.events x.events_per_sec)
-    e.experiments;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+     \"experiments\": [%s]}"
+    s.schema_version (Bench_json.escape s.git) s.jobs s.total_wall_s
+    s.total_events s.events_per_sec
+    (String.concat ", "
+       (List.map
+          (fun (x : Bench_json.experiment) ->
+            Bench_json.experiment_to_string { x with spec = None })
+          e.experiments))
 
 let entry_of_string line =
   match Bench_json.of_string line with

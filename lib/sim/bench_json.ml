@@ -237,9 +237,24 @@ let find_escaped_string s key =
         in
         scan (start + 1)
 
+(* The '}' closing the object opened at [o].  Objects we ourselves
+   write never nest, but a quoted string (a spec's text) may hold any
+   brace, so strings are skipped, escapes included. *)
+let object_end s o =
+  let n = String.length s in
+  let rec scan i quoted =
+    if i >= n then None
+    else
+      match s.[i] with
+      | '\\' when quoted -> scan (i + 2) true
+      | '"' -> scan (i + 1) (not quoted)
+      | '}' when not quoted -> Some i
+      | _ -> scan (i + 1) quoted
+  in
+  scan (o + 1) false
+
 (* Every '{...}' object after the "experiments": key, in artifact
-   order.  Objects we ourselves write are one-line and never nest, so
-   brace matching is trivial. *)
+   order. *)
 let experiments_of_string data =
   match find_raw_field data "experiments" with
   | None -> []
@@ -249,7 +264,7 @@ let experiments_of_string data =
         match String.index_from_opt data i '{' with
         | None -> List.rev acc
         | Some o -> (
-            match String.index_from_opt data o '}' with
+            match object_end data o with
             | None -> List.rev acc
             | Some c ->
                 let seg = String.sub data o (c - o + 1) in
@@ -274,3 +289,57 @@ let experiments_of_string data =
                 if c + 1 >= slen then List.rev acc else objects (c + 1) acc)
       in
       objects start []
+
+(* ---------------- Writing ---------------- *)
+
+let escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let rate events wall_s =
+  if wall_s > 0. then float_of_int events /. wall_s else 0.
+
+let experiment ?spec ~name ~wall_s events =
+  { name; wall_s; events; events_per_sec = rate events wall_s; spec }
+
+let experiment_to_string x =
+  Printf.sprintf
+    "{\"name\": \"%s\", \"wall_s\": %.6f, \"events\": %d, \"events_per_sec\": %.1f%s}"
+    (escape x.name) x.wall_s x.events x.events_per_sec
+    (match x.spec with
+    | None -> ""
+    | Some text -> Printf.sprintf ", \"spec\": \"%s\"" (escape text))
+
+let to_string ~git ~seed ~trace ~jobs ~wall_s experiments =
+  let b = Buffer.create 4096 in
+  let total_events = List.fold_left (fun a x -> a + x.events) 0 experiments in
+  Printf.bprintf b "{\n";
+  Printf.bprintf b "  \"schema\": \"xcontainers-bench/3\",\n";
+  Printf.bprintf b "  \"schema_version\": 3,\n";
+  Printf.bprintf b "  \"git\": \"%s\",\n" (escape git);
+  Printf.bprintf b "  \"seed\": %d,\n" seed;
+  Printf.bprintf b "  \"trace\": %s,\n"
+    (match trace with
+    | None -> "null"
+    | Some path -> Printf.sprintf "\"%s\"" (escape path));
+  Printf.bprintf b "  \"jobs\": %d,\n" jobs;
+  Printf.bprintf b "  \"total_wall_s\": %.6f,\n" wall_s;
+  Printf.bprintf b "  \"total_events\": %d,\n" total_events;
+  Printf.bprintf b "  \"events_per_sec\": %.1f,\n" (rate total_events wall_s);
+  Printf.bprintf b "  \"experiments\": [\n";
+  List.iteri
+    (fun i x ->
+      Printf.bprintf b "    %s%s\n" (experiment_to_string x)
+        (if i = List.length experiments - 1 then "" else ","))
+    experiments;
+  Printf.bprintf b "  ]\n}\n";
+  Buffer.contents b

@@ -1,5 +1,5 @@
-(** Reader and regression gate for [BENCH_sim.json] artifacts (schema
-    v2 — see docs/PERF.md).  Backs [xc bench check]: compare the
+(** Writer, reader and regression gate for [BENCH_sim.json] artifacts
+    (schema v3 — see docs/PERF.md).  Backs [xc bench check]: compare the
     artifact of the current run against a committed baseline and flag
     a > threshold throughput or wall-clock regression. *)
 
@@ -34,8 +34,32 @@ type experiment = {
 val experiments_of_string : string -> experiment list
 (** The per-experiment records of an artifact (everything after the
     ["experiments":] key), in artifact order; empty when the field is
-    missing.  Backs the per-experiment trajectory in
-    [Bench_history]. *)
+    missing.  Braces inside quoted strings do not end a record.  Backs
+    the per-experiment trajectory in [Bench_history]. *)
+
+(** {1 Writing} *)
+
+val escape : string -> string
+(** JSON string-body escaping: quote, backslash and newline by name,
+    other control characters as [\u00XX]. *)
+
+val experiment : ?spec:string -> name:string -> wall_s:float -> int -> experiment
+(** A record for [events] executed in [wall_s], its rate derived (0
+    when no wall time was measured). *)
+
+val experiment_to_string : experiment -> string
+(** One-line JSON object; the ["spec"] field only when present. *)
+
+val to_string :
+  git:string ->
+  seed:int ->
+  trace:string option ->
+  jobs:int ->
+  wall_s:float ->
+  experiment list ->
+  string
+(** The whole artifact (schema v3), totals derived from the records;
+    {!of_string} and {!experiments_of_string} read it back. *)
 
 type verdict = {
   metric : string;  (** ["events_per_sec"] or ["total_wall_s"] *)

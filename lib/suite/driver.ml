@@ -144,24 +144,13 @@ let run (spec : Spec.t) =
    harness so traced/telemetry runs stay byte-identical at any --jobs
    (captures drain at shard boundaries and merge in spec order). *)
 
-type outcome = {
-  row : row;
-  events : int;
-  trace : Xc_trace.Trace.captured;
-  telemetry : Xc_sim.Metrics.telemetry;
-}
-
-let shard_of_spec spec =
-  Xc_sim.Parallel.Shard.thunk (fun () ->
-      let events0 = Xc_sim.Engine.domain_events () in
-      let (row, trace), telemetry =
-        Xc_sim.Metrics.capture (fun () -> Xc_trace.Trace.capture (fun () -> run spec))
-      in
-      let events = Xc_sim.Engine.domain_events () - events0 in
-      { row; events; trace; telemetry })
-
 let run_suite ?jobs (t : Suite.t) =
-  Xc_sim.Parallel.run_sharded ?jobs (List.map shard_of_spec t.Suite.specs)
+  Xc_sim.Parallel.run_sharded ?jobs
+    (List.map
+       (fun spec ->
+         Xc_sim.Parallel.Shard.thunk (fun () ->
+             (spec.Spec.name, Xc_sim.Capture.measure (fun () -> run spec))))
+       t.Suite.specs)
 
 let wants_trace (t : Suite.t) =
   List.exists

@@ -33,17 +33,10 @@ val run : Spec.t -> row
 (** Dispatch on the spec's shape; cluster rows aggregate node results
     (throughput sums, means average, p99 is the worst non-NaN). *)
 
-type outcome = {
-  row : row;
-  events : int;  (** engine events this spec's run executed *)
-  trace : Xc_trace.Trace.captured;
-  telemetry : Xc_sim.Metrics.telemetry;
-}
-
-val run_suite : ?jobs:int -> Suite.t -> outcome list
-(** One pool shard per spec, instrumented like the bench harness
-    (per-spec trace/telemetry capture, merged in spec order), so
-    traced runs are byte-identical at any [jobs]. *)
+val run_suite : ?jobs:int -> Suite.t -> row Xc_sim.Capture.tracks
+(** One pool shard per spec, measured like a bench cell and labelled
+    by the spec's name, in spec order, so traced runs are
+    byte-identical at any [jobs]. *)
 
 val wants_trace : Suite.t -> bool
 (** Any spec asks for [trace] or [tails] capture. *)

@@ -414,6 +414,15 @@ let tail_of ?(label = "") ~pct ~cut_ns att =
     tail_total_ns = List.fold_left (fun a r -> a +. r.req_total) 0. tail;
   }
 
+(* The one percentile cut: the floor of the bucket holding the rank,
+   so every request at or above the rank is selected by [>=]. *)
+let tail_at ?label ~pct att =
+  match request_totals att with
+  | [] -> None
+  | totals ->
+      let cut_ns = Histogram.percentile_floor (Histogram.of_samples totals) pct in
+      Some (tail_of ?label ~pct ~cut_ns att)
+
 let render_tail ?(slowest = 0) t =
   let buf = Buffer.create 1024 in
   if t.label <> "" then Printf.bprintf buf "tail attribution: %s\n" t.label;

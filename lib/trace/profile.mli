@@ -119,8 +119,7 @@ val attribute : Trace.event list -> attribution
     and the unattributed bucket. *)
 
 val request_totals : attribution -> float list
-(** End-to-end durations of all requests, slowest first — feed these
-    to [Xc_sim.Histogram.of_samples] to compute a percentile cut. *)
+(** End-to-end durations of all requests, slowest first. *)
 
 (** {1 Tail cuts} *)
 
@@ -143,9 +142,13 @@ val self_frame : string
     the tails CSV and tail diffs for uncovered request-window time. *)
 
 val tail_of : ?label:string -> pct:float -> cut_ns:float -> attribution -> tail
-(** Aggregate the requests at or above [cut_ns].  The cut itself is
-    the caller's business (this library has no histogram); [pct] is
-    carried along for rendering and export only. *)
+(** Aggregate the requests at or above [cut_ns]; [pct] is carried
+    along for rendering and export only. *)
+
+val tail_at : ?label:string -> pct:float -> attribution -> tail option
+(** The [pct] tail: {!tail_of} at the {!Histogram.percentile_floor}
+    cut over {!request_totals}.  [None] when no request span was
+    attributed. *)
 
 val render_tail : ?slowest:int -> tail -> string
 (** Terminal rendering: the aggregate per-mechanism table (share of

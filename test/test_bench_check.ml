@@ -179,6 +179,59 @@ let test_render () =
         true (contains out needle))
     [ "v1.2-3-gabc"; "v1.2-9-gdef"; "REGRESSED"; "REGRESSION"; "jobs differ" ]
 
+(* ---------------- Artifact writer/reader round-trip ---------------- *)
+
+let to_string xs = BJ.to_string ~git:"g" ~seed:42 ~trace:None ~jobs:1 ~wall_s:1. xs
+
+let experiment_t =
+  Alcotest.testable
+    (fun ppf (x : BJ.experiment) ->
+      Format.fprintf ppf "%s %h %d %h %a" x.name x.wall_s x.events
+        x.events_per_sec
+        Format.(pp_print_option pp_print_string)
+        x.spec)
+    ( = )
+
+(* A spec whose param value holds a brace: the reader once cut the
+   record at that brace and lost the spec. *)
+let test_brace_in_spec () =
+  let x =
+    BJ.experiment ~spec:"[experiment e]\nparam.note = x}y\n" ~name:"e"
+      ~wall_s:0.5 1000
+  in
+  Alcotest.(check (list experiment_t))
+    "round-trip" [ x ]
+    (BJ.experiments_of_string (to_string [ x ]))
+
+(* Names over the spec-name alphabet; spec text printable ASCII plus
+   newlines, braces, quotes and backslashes included.  Wall times and
+   rates are drawn on the grids the writer prints exactly. *)
+let prop_roundtrip =
+  let open QCheck.Gen in
+  let name =
+    string_size ~gen:(oneofl (String.to_seq "abcXYZ059._/=+:-" |> List.of_seq))
+      (int_range 1 12)
+  in
+  let spec_char = frequency [ (8, char_range ' ' '~'); (1, oneofl [ '\n'; '{'; '}'; '"'; '\\' ]) ] in
+  let experiment =
+    map
+      (fun (name, (wall_us, events, rate_dec, spec)) ->
+        {
+          BJ.name;
+          wall_s = float_of_int wall_us /. 1e6;
+          events;
+          events_per_sec = float_of_int rate_dec /. 10.;
+          spec;
+        })
+      (pair name
+         (quad (int_range 0 10_000_000) (int_range 0 1_000_000_000)
+            (int_range 0 1_000_000_000)
+            (opt (string_size ~gen:spec_char (int_range 0 40)))))
+  in
+  QCheck.Test.make ~count:300 ~name:"BENCH_sim.json experiments round-trip"
+    (QCheck.make (list_size (int_range 0 5) experiment))
+    (fun xs -> BJ.experiments_of_string (to_string xs) = xs)
+
 let suites =
   [
     ( "sim.bench_check",
@@ -199,5 +252,7 @@ let suites =
           test_fresh_baseline_zero;
         Alcotest.test_case "render fresh" `Quick test_render_fresh;
         Alcotest.test_case "render" `Quick test_render;
+        Alcotest.test_case "brace in spec round-trips" `Quick test_brace_in_spec;
+        QCheck_alcotest.to_alcotest prop_roundtrip;
       ] );
   ]
