@@ -1911,19 +1911,21 @@ let run_experiments ~jobs ~trace_out ~sample ~timeseries_out ~interval_us
       let base = Filename.remove_extension path in
       Printf.eprintf "[bench] wrote %s.tails (%d request-emitting track(s))\n%!"
         base tails;
-      let all = (Capture.merge (List.map snd outcomes)).trace in
-      if sample > 1 then begin
-        let seen, kept =
-          List.fold_left
-            (fun (s, k) (st : Xc_trace.Trace.Stream.t) -> (s + st.seen, k + st.kept))
-            (0, 0) all.streams
-        in
+      let sum f =
+        List.fold_left (fun a (_, (o : _ Capture.measured)) -> a + f o.trace) 0 outcomes
+      in
+      let streams f =
+        sum (fun t -> List.fold_left (fun a s -> a + f s) 0 t.Xc_trace.Trace.streams)
+      in
+      if sample > 1 then
         Printf.eprintf
           "[bench] sampling stride %d: kept %d of %d offered events\n%!" sample
-          kept seen
-      end;
+          (streams (fun s -> s.kept))
+          (streams (fun s -> s.seen));
       Printf.eprintf "[bench] wrote %s and %s.folded (%d trace events, %d dropped)\n%!"
-        path base (List.length all.events) all.dropped)
+        path base
+        (sum (fun t -> List.length t.events))
+        (sum (fun t -> t.dropped)))
     trace_out;
   Option.iter
     (fun path ->

@@ -12,6 +12,8 @@
    (The paper's tables and figures live in `dune exec bench/main.exe`.) *)
 
 open Cmdliner
+module Capture = Xc_sim.Capture
+module CS = Xc_platforms.Cluster_sim
 
 let exit_err msg =
   prerr_endline ("xc: " ^ msg);
@@ -22,9 +24,6 @@ let exit_err msg =
 (* Every flag several commands take is declared once here, as a term
    that already holds its validated value: a bad value exits 1 with a
    named error before the command body runs. *)
-
-module Capture = Xc_sim.Capture
-module CS = Xc_platforms.Cluster_sim
 
 let cloud_conv =
   let parse s =
@@ -2013,7 +2012,6 @@ let bench_scale_cmd =
     if max_jobs < 1 then
       exit_err
         (Printf.sprintf "--max-jobs expects a positive integer, got %d" max_jobs);
-    let module CS = Xc_platforms.Cluster_sim in
     let point mode n =
       {
         (CS.default_config mode ~containers:n) with

@@ -23,10 +23,10 @@
     exactly the regime where the fig9 tail is queueing-dominated.
 
     Baselines run traced (a [2^18]-event ring unless tracing is
-    already on); rerun points are plain
-    runs.  {!sweep} fans baselines and reruns out over the
-    {!Xc_sim.Parallel} shard layer and reassembles in submission
-    order, so every artifact is byte-identical at any [--jobs]. *)
+    already on); rerun points are plain runs.  {!sweep} fans baselines
+    and reruns out over the {!Xc_sim.Parallel} shard layer and
+    reassembles in submission order, so every artifact is
+    byte-identical at any [--jobs]. *)
 
 module CS = Xc_platforms.Cluster_sim
 
@@ -61,9 +61,10 @@ type point = {
 
 val measure_baseline : CS.config -> baseline
 (** One traced run plus its attribution and critical-path summary.
-    Call with tracing on ({!Xc_sim.Capture.with_capture}); with tracing off (or a config without
-    [request_mech] pricing) the attribution comes back empty and
-    predictions degenerate to the baseline. *)
+    Call with tracing on ({!Xc_sim.Capture.with_capture}); with
+    tracing off (or a config without [request_mech] pricing) the
+    attribution comes back empty and predictions degenerate to the
+    baseline. *)
 
 val point : label:string -> baseline -> Whatif.t -> CS.result -> point
 (** A rerun result beside its baseline and the linear-share prediction

@@ -305,6 +305,55 @@ let prop_hedged_sweep_schedule_independent =
 
 let qsuite props = List.map QCheck_alcotest.to_alcotest props
 
+(* ---------------- Capture ---------------- *)
+
+(* A switch with_capture turns on is off again afterwards, also when
+   the thunk raises; a switch already on keeps its settings. *)
+let test_with_capture_switches () =
+  let off () = (Trace.enabled (), Metrics.on ()) in
+  let switches = Alcotest.(pair bool bool) in
+  Alcotest.check switches "off before" (false, false) (off ());
+  Capture.with_capture ~trace:true ~sample:3 ~metrics:true (fun () ->
+      Alcotest.check switches "on inside" (true, true) (off ());
+      Alcotest.(check int) "stride set" 3 (Trace.sample_stride ()));
+  Alcotest.check switches "off after" (false, false) (off ());
+  (match Capture.with_capture ~trace:true (fun () -> failwith "boom") with
+  | () -> Alcotest.fail "expected the exception"
+  | exception Failure _ -> ());
+  Alcotest.check switches "off after a raise" (false, false) (off ());
+  Trace.enable ~sample:5 ();
+  Fun.protect ~finally:Trace.disable (fun () ->
+      Capture.with_capture ~trace:true ~sample:2 (fun () ->
+          Alcotest.(check int) "outer stride kept" 5 (Trace.sample_stride ()));
+      Alcotest.(check bool) "outer switch kept" true (Trace.enabled ()));
+  Trace.enable ~sample:1 ();
+  Trace.disable ()
+
+(* measure isolates a run's capture; merge of one piece is that piece,
+   which is what lets an unsplittable bench experiment run as a single
+   cell without moving a byte. *)
+let test_measure_merge () =
+  Capture.with_capture ~trace:true ~metrics:true (fun () ->
+      let piece k =
+        Capture.measure (fun () ->
+            Trace.span ~cat:"c" ~name:"s" (float_of_int k);
+            Metrics.counter_add ~cat:"m" ~name:"n" (float_of_int k);
+            k)
+      in
+      let a = piece 2 and b = piece 3 in
+      Alcotest.(check int) "value" 2 a.Capture.value;
+      Alcotest.(check int) "own events only" 1 (List.length a.trace.Trace.events);
+      let m = Capture.merge [ a; b ] in
+      Alcotest.(check (list int)) "values in order" [ 2; 3 ] m.value;
+      Alcotest.(check bool) "traces concatenate" true
+        (m.trace = Trace.concat [ a.trace; b.trace ]);
+      Alcotest.(check (float 1e-9)) "counters add" 5.
+        (List.assoc "m/n" m.telemetry.Metrics.counters);
+      let one = Capture.merge [ a ] in
+      Alcotest.(check bool) "merge of one is that piece" true
+        (one.trace = a.trace && one.telemetry = a.telemetry
+       && one.events = a.events && one.wall_s = a.wall_s))
+
 let suites =
   [
     ( "sim.parallel.sharding",
@@ -327,6 +376,9 @@ let suites =
         Alcotest.test_case "trace concat rebases" `Quick
           test_trace_concat_rebases;
         Alcotest.test_case "merge_telemetry" `Quick test_merge_telemetry;
+        Alcotest.test_case "with_capture switches" `Quick
+          test_with_capture_switches;
+        Alcotest.test_case "measure and merge" `Quick test_measure_merge;
       ]
       @ qsuite [ prop_deterministic; prop_hedged_sweep_schedule_independent ] );
   ]

@@ -92,6 +92,24 @@ let test_unit_tail_cut () =
   Alcotest.(check int) "cut 0 selects the whole population" 2
     everything.Profile.n_tail
 
+(* [tail_at] is [tail_of] at the histogram's floor cut, which keeps the
+   slowest request in its own tail; no requests, no tail. *)
+let test_tail_at () =
+  let att = Profile.attribute unit_forest in
+  let cut =
+    Histogram.percentile_floor
+      (Histogram.of_samples (Profile.request_totals att))
+      99.
+  in
+  (match Profile.tail_at ~label:"unit" ~pct:99. att with
+  | None -> Alcotest.fail "requests but no tail"
+  | Some t ->
+      Alcotest.(check bool) "tail_of at the floor cut" true
+        (t = Profile.tail_of ~label:"unit" ~pct:99. ~cut_ns:cut att);
+      Alcotest.(check int) "the slowest request is in" 1 t.Profile.n_tail);
+  Alcotest.(check bool) "no requests, no tail" true
+    (Profile.tail_at ~pct:99. (Profile.attribute []) = None)
+
 let test_render_tail () =
   let att = Profile.attribute unit_forest in
   let t = Profile.tail_of ~label:"unit" ~pct:95. ~cut_ns:60. att in
@@ -574,6 +592,7 @@ let suites =
         Alcotest.test_case "hand-built forest partition" `Quick
           test_unit_forest;
         Alcotest.test_case "tail cut aggregation" `Quick test_unit_tail_cut;
+        Alcotest.test_case "tail_at cuts at the floor" `Quick test_tail_at;
         Alcotest.test_case "tail rendering" `Quick test_render_tail;
         QCheck_alcotest.to_alcotest partition_prop;
       ] );
