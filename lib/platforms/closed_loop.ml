@@ -53,10 +53,35 @@ let least_loaded st =
   done;
   !best
 
+let validate config =
+  if config.connections < 1 then
+    invalid_arg "Closed_loop.run: connections must be >= 1";
+  if not (Float.is_finite config.duration_ns && config.duration_ns >= 0.) then
+    invalid_arg "Closed_loop.run: duration_ns must be finite and >= 0";
+  if not (Float.is_finite config.warmup_ns && config.warmup_ns >= 0.) then
+    invalid_arg "Closed_loop.run: warmup_ns must be finite and >= 0"
+
+(* Clients live in arrays indexed by a client number [k]: server
+   [k / connections], connection [k mod connections].  Every event is
+   an int: [2k] is client [k]'s first send, [2k + 1] its response, and
+   codes from [2 * clients] up are a hedged [Policy.complete] of
+   (server, unit).  A client's one pending event is due at [due.(k)],
+   so the handler never reads the clock. *)
 let run_states config states =
-  let engine = Engine.create () in
+  validate config;
+  let states = Array.of_list states in
+  let conns = config.connections in
+  let clients = Array.length states * conns in
   let measure_start = config.warmup_ns in
   let measure_end = config.warmup_ns +. config.duration_ns in
+  let half_rtt = config.rtt_ns /. 2. in
+  let due = Array.make clients 0. in
+  let sent = Array.make clients 0. in
+  let arrival = Array.make clients 0. in
+  let start = Array.make clients 0. in
+  let finish = Array.make clients 0. in
+  let hedge_ns = Array.make clients 0. in
+  let fanout = Array.make clients 1 in
   (* Bundle lane for tail attribution: when [trace_mechanisms] is set,
      each measured request's spans (request + synthetic children) are
      re-based onto a sequential region past the end of the simulated
@@ -65,165 +90,16 @@ let run_states config states =
      containment sweep; packing the bundles end to end makes
      [Profile.attribute] exact.  The cursor is shared by every server
      in the run so bundles never collide across states. *)
-  let synth_cursor = ref (measure_end +. config.rtt_ns +. 1e9) in
-  let rec client_loop (st, pol) _engine =
-    let now = Engine.now engine in
-    if now < measure_end then begin
-      let sent_at = now in
-      (* Request reaches the server after half an RTT. *)
-      let arrival = now +. (config.rtt_ns /. 2.) in
-      let start, finish, hedge_ns, fanout =
-        match pol with
-        | None ->
-            let u = least_loaded st in
-            let start = Float.max arrival st.unit_free.(u) in
-            let service = st.server.service_ns st.rng +. st.server.overhead_ns in
-            let finish = start +. service in
-            st.unit_free.(u) <- finish;
-            (start, finish, 0., 1)
-        | Some (p, d) ->
-            (* Hedged dispatch over the service units: the policy picks
-               [d] distinct units, every clone gets the same sampled
-               requirement (synchronized service), and since the units
-               serve FIFO the winner is known at booking time — the
-               clone with the earliest start.  Losing clones occupy
-               their unit only until the winner finishes
-               (cancel-on-first-complete); a clone that would start
-               after that point never runs at all, a full refund. *)
-            let targets = Xc_lb.Policy.pick_set p ~clones:d in
-            let service = st.server.service_ns st.rng +. st.server.overhead_ns in
-            let bookings =
-              List.map (fun u -> (u, Float.max arrival st.unit_free.(u))) targets
-            in
-            let wu, wstart =
-              match bookings with
-              | [] -> assert false
-              | first :: rest ->
-                  List.fold_left
-                    (fun (bu, bs) (u, s) -> if s < bs then (u, s) else (bu, bs))
-                    first rest
-            in
-            let tstar = wstart +. service in
-            let hedge = ref 0. in
-            List.iter
-              (fun (u, s) ->
-                if u = wu || s < tstar then begin
-                  (* The winner runs to completion; a started sibling
-                     holds its unit until cancellation at [tstar]. *)
-                  if u <> wu then hedge := !hedge +. (tstar -. s);
-                  st.unit_free.(u) <- tstar;
-                  Xc_lb.Policy.admit p u;
-                  Engine.schedule engine tstar (fun _ ->
-                      Xc_lb.Policy.complete p u)
-                end)
-              bookings;
-            if Xc_sim.Metrics.on () then begin
-              Xc_sim.Metrics.counter_incr ~cat:"lb" ~name:"requests";
-              Xc_sim.Metrics.counter_add ~cat:"lb" ~name:"clones-spawned"
-                (float_of_int d);
-              if d > 1 then
-                Xc_sim.Metrics.counter_add ~cat:"lb" ~name:"clones-cancelled"
-                  (float_of_int (d - 1))
-            end;
-            (wstart, tstar, !hedge, d)
-      in
-      let response_at = finish +. (config.rtt_ns /. 2.) in
-      if Xc_sim.Metrics.on () then begin
-        Xc_sim.Metrics.gauge_add ~cat:"platform" ~name:"in-flight" 1.;
-        Xc_sim.Metrics.counter_incr ~cat:"net" ~name:"messages"
-      end;
-      Engine.schedule engine response_at (fun engine ->
-          let now = Engine.now engine in
-          if Xc_sim.Metrics.on () then
-            Xc_sim.Metrics.gauge_add ~cat:"platform" ~name:"in-flight" (-1.);
-          if sent_at >= measure_start && now <= measure_end then begin
-            st.completed <- st.completed + 1;
-            Histogram.add st.latencies (now -. sent_at);
-            if Xc_sim.Metrics.on () then begin
-              Xc_sim.Metrics.counter_incr ~cat:"platform" ~name:"requests";
-              Xc_sim.Metrics.hist_observe ~cat:"platform" ~name:"latency-ns"
-                (now -. sent_at)
-            end;
-            if Xc_trace.Trace.enabled () then begin
-              (* value = per-server completion index: a stable request
-                 id that per-request tooling (Profile.slowest) reads
-                 back from the span. *)
-              let bundle = config.trace_mechanisms <> [] in
-              (* [shift] re-bases the whole bundle onto the sequential
-                 lane; 0 keeps the legacy real-time request span when no
-                 mechanism decomposition was configured. *)
-              let shift =
-                if bundle then begin
-                  let c = !synth_cursor in
-                  synth_cursor := c +. (now -. sent_at);
-                  c -. sent_at
-                end
-                else 0.
-              in
-              Xc_trace.Trace.span ~at:(sent_at +. shift)
-                ~value:(float_of_int st.completed) ~cat:"request"
-                ~name:"closed-loop" (now -. sent_at);
-              (* Synthetic mechanism children nested inside the request
-                 window, so tail attribution can partition it exactly:
-                 the client->server hop, queue wait, the configured
-                 mechanism decomposition laid out serially over the
-                 service window (clamped — jitter can make the sampled
-                 service shorter than the deterministic decomposition;
-                 any excess stays request self-time), and the return
-                 hop. *)
-              if bundle then begin
-                let half = config.rtt_ns /. 2. in
-                if half > 0. then
-                  Xc_trace.Trace.span ~at:(sent_at +. shift) ~cat:Xc_trace.Mechanism.(to_string Net_hop)
-                    ~name:"client->server" half;
-                if start -. arrival > 0. then
-                  Xc_trace.Trace.span ~at:(arrival +. shift) ~cat:"sched"
-                    ~name:"queue-wait" (start -. arrival);
-                let cursor = ref (start +. shift) in
-                let budget = finish +. shift in
-                List.iter
-                  (fun (r : Price.row) ->
-                    let d = Float.min r.ns (budget -. !cursor) in
-                    if d > 0. then begin
-                      Xc_trace.Trace.span ~at:!cursor
-                        ~cat:(Xc_trace.Mechanism.to_string r.mech)
-                        ~name:r.name d;
-                      cursor := !cursor +. d
-                    end)
-                  config.trace_mechanisms;
-                (* Hedge overhead: unit time the losing clones held
-                   before cancellation, clamped like the mechanism
-                   rows; the name carries the clone fan-out (1ns floor
-                   keeps it visible when siblings never started). *)
-                if fanout > 1 then begin
-                  let d =
-                    Float.min (Float.max hedge_ns 1.) (budget -. !cursor)
-                  in
-                  if d > 0. then begin
-                    Xc_trace.Trace.span ~at:!cursor ~cat:"lb.hedge"
-                      ~name:(Printf.sprintf "clone-x%d" fanout)
-                      d;
-                    cursor := !cursor +. d
-                  end
-                end;
-                if half > 0. then
-                  Xc_trace.Trace.span ~at:(finish +. shift) ~cat:Xc_trace.Mechanism.(to_string Net_hop)
-                    ~name:"server->client" half
-              end
-            end
-          end;
-          client_loop (st, pol) engine)
-    end
-  in
+  let synth_cursor = [| measure_end +. config.rtt_ns +. 1e9 |] in
   let policies =
     match config.lb with
-    | None -> List.map (fun _ -> None) states
+    | None -> Array.map (fun _ -> None) states
     | Some { Xc_lb.Policy.kind; clones } ->
         if clones < 1 then invalid_arg "Closed_loop: clones must be >= 1";
         (* Per-server policy state, seeded from the experiment seed (not
            global state) so sharded traced runs stay deterministic; the
            clone factor is capped at the unit count. *)
-        List.mapi
+        Array.mapi
           (fun i (st : state) ->
             let units = Array.length st.unit_free in
             Some
@@ -233,14 +109,191 @@ let run_states config states =
                 Stdlib.min clones units ))
           states
   in
-  List.iter2
-    (fun st pol ->
-      for _ = 1 to config.connections do
+  let hedge_base = 2 * clients in
+  let stride =
+    Array.fold_left (fun m st -> Stdlib.max m (Array.length st.unit_free)) 1 states
+  in
+  let send engine k =
+    let now = due.(k) in
+    if now < measure_end then begin
+      let i = k / conns in
+      let st = states.(i) in
+      sent.(k) <- now;
+      (* Request reaches the server after half an RTT. *)
+      let arrive = now +. half_rtt in
+      arrival.(k) <- arrive;
+      (match policies.(i) with
+      | None ->
+          let u = least_loaded st in
+          let s = Float.max arrive st.unit_free.(u) in
+          let service = st.server.service_ns st.rng +. st.server.overhead_ns in
+          let f = s +. service in
+          st.unit_free.(u) <- f;
+          start.(k) <- s;
+          finish.(k) <- f;
+          hedge_ns.(k) <- 0.;
+          fanout.(k) <- 1
+      | Some (p, d) ->
+          (* Hedged dispatch over the service units: the policy picks
+             [d] distinct units, every clone gets the same sampled
+             requirement (synchronized service), and since the units
+             serve FIFO the winner is known at booking time — the
+             clone with the earliest start.  Losing clones occupy
+             their unit only until the winner finishes
+             (cancel-on-first-complete); a clone that would start
+             after that point never runs at all, a full refund. *)
+          let targets = Xc_lb.Policy.pick_set p ~clones:d in
+          let service = st.server.service_ns st.rng +. st.server.overhead_ns in
+          let bookings =
+            List.map (fun u -> (u, Float.max arrive st.unit_free.(u))) targets
+          in
+          let wu, wstart =
+            match bookings with
+            | [] -> assert false
+            | first :: rest ->
+                List.fold_left
+                  (fun (bu, bs) (u, s) -> if s < bs then (u, s) else (bu, bs))
+                  first rest
+          in
+          let tstar = wstart +. service in
+          let hedge = ref 0. in
+          List.iter
+            (fun (u, s) ->
+              if u = wu || s < tstar then begin
+                (* The winner runs to completion; a started sibling
+                   holds its unit until cancellation at [tstar]. *)
+                if u <> wu then hedge := !hedge +. (tstar -. s);
+                st.unit_free.(u) <- tstar;
+                Xc_lb.Policy.admit p u;
+                Engine.schedule_int engine tstar (hedge_base + (i * stride) + u)
+              end)
+            bookings;
+          if Xc_sim.Metrics.on () then begin
+            Xc_sim.Metrics.counter_incr ~cat:"lb" ~name:"requests";
+            Xc_sim.Metrics.counter_add ~cat:"lb" ~name:"clones-spawned"
+              (float_of_int d);
+            if d > 1 then
+              Xc_sim.Metrics.counter_add ~cat:"lb" ~name:"clones-cancelled"
+                (float_of_int (d - 1))
+          end;
+          start.(k) <- wstart;
+          finish.(k) <- tstar;
+          hedge_ns.(k) <- !hedge;
+          fanout.(k) <- d);
+      if Xc_sim.Metrics.on () then begin
+        Xc_sim.Metrics.gauge_add ~cat:"platform" ~name:"in-flight" 1.;
+        Xc_sim.Metrics.counter_incr ~cat:"net" ~name:"messages"
+      end;
+      due.(k) <- finish.(k) +. half_rtt;
+      Engine.schedule_int engine due.(k) ((2 * k) + 1)
+    end
+  in
+  let trace_bundle st k =
+    let now = due.(k) and sent_at = sent.(k) in
+    (* value = per-server completion index: a stable request id that
+       per-request tooling (Profile.slowest) reads back from the
+       span. *)
+    let bundle = config.trace_mechanisms <> [] in
+    (* [shift] re-bases the whole bundle onto the sequential lane; 0
+       keeps the legacy real-time request span when no mechanism
+       decomposition was configured. *)
+    let shift =
+      if bundle then begin
+        let c = synth_cursor.(0) in
+        synth_cursor.(0) <- c +. (now -. sent_at);
+        c -. sent_at
+      end
+      else 0.
+    in
+    Xc_trace.Trace.span ~at:(sent_at +. shift)
+      ~value:(float_of_int st.completed) ~cat:"request" ~name:"closed-loop"
+      (now -. sent_at);
+    (* Synthetic mechanism children nested inside the request window,
+       so tail attribution can partition it exactly: the
+       client->server hop, queue wait, the configured mechanism
+       decomposition laid out serially over the service window
+       (clamped — jitter can make the sampled service shorter than the
+       deterministic decomposition; any excess stays request
+       self-time), and the return hop. *)
+    if bundle then begin
+      let arrival = arrival.(k) and start = start.(k) and finish = finish.(k) in
+      if half_rtt > 0. then
+        Xc_trace.Trace.span ~at:(sent_at +. shift)
+          ~cat:Xc_trace.Mechanism.(to_string Net_hop)
+          ~name:"client->server" half_rtt;
+      if start -. arrival > 0. then
+        Xc_trace.Trace.span ~at:(arrival +. shift) ~cat:"sched"
+          ~name:"queue-wait" (start -. arrival);
+      let cursor = ref (start +. shift) in
+      let budget = finish +. shift in
+      List.iter
+        (fun (r : Price.row) ->
+          let d = Float.min r.ns (budget -. !cursor) in
+          if d > 0. then begin
+            Xc_trace.Trace.span ~at:!cursor
+              ~cat:(Xc_trace.Mechanism.to_string r.mech)
+              ~name:r.name d;
+            cursor := !cursor +. d
+          end)
+        config.trace_mechanisms;
+      (* Hedge overhead: unit time the losing clones held before
+         cancellation, clamped like the mechanism rows; the name
+         carries the clone fan-out (1ns floor keeps it visible when
+         siblings never started). *)
+      let fanout = fanout.(k) in
+      if fanout > 1 then begin
+        let d = Float.min (Float.max hedge_ns.(k) 1.) (budget -. !cursor) in
+        if d > 0. then begin
+          Xc_trace.Trace.span ~at:!cursor ~cat:"lb.hedge"
+            ~name:(Printf.sprintf "clone-x%d" fanout)
+            d;
+          cursor := !cursor +. d
+        end
+      end;
+      if half_rtt > 0. then
+        Xc_trace.Trace.span ~at:(finish +. shift)
+          ~cat:Xc_trace.Mechanism.(to_string Net_hop)
+          ~name:"server->client" half_rtt
+    end
+  in
+  let respond engine k =
+    let now = due.(k) and sent_at = sent.(k) in
+    if Xc_sim.Metrics.on () then
+      Xc_sim.Metrics.gauge_add ~cat:"platform" ~name:"in-flight" (-1.);
+    if sent_at >= measure_start && now <= measure_end then begin
+      let st = states.(k / conns) in
+      st.completed <- st.completed + 1;
+      Histogram.add st.latencies (now -. sent_at);
+      if Xc_sim.Metrics.on () then begin
+        Xc_sim.Metrics.counter_incr ~cat:"platform" ~name:"requests";
+        Xc_sim.Metrics.hist_observe ~cat:"platform" ~name:"latency-ns"
+          (now -. sent_at)
+      end;
+      if Xc_trace.Trace.enabled () then trace_bundle st k
+    end;
+    send engine k
+  in
+  let handler engine code =
+    if code < hedge_base then
+      if code land 1 = 0 then send engine (code lsr 1)
+      else respond engine (code lsr 1)
+    else begin
+      let c = code - hedge_base in
+      match policies.(c / stride) with
+      | Some (p, _) -> Xc_lb.Policy.complete p (c mod stride)
+      | None -> assert false
+    end
+  in
+  let engine = Engine.create ~handler () in
+  Array.iteri
+    (fun i st ->
+      for c = 0 to conns - 1 do
         (* Stagger initial sends a little to avoid a thundering herd. *)
-        Engine.schedule engine (Prng.float st.rng 1e6) (fun engine ->
-            client_loop (st, pol) engine)
+        let k = (i * conns) + c in
+        due.(k) <- Prng.float st.rng 1e6;
+        Engine.schedule_int engine due.(k) (2 * k)
       done)
-    states policies;
+    states;
   Engine.run engine;
   List.map
     (fun st ->
@@ -251,7 +304,7 @@ let run_states config states =
         p99_ns = Histogram.percentile st.latencies 99.;
         completed = st.completed;
       })
-    states
+    (Array.to_list states)
 
 let make_state seed i server =
   {

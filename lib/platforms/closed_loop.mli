@@ -57,8 +57,11 @@ type result = {
 }
 
 val run : config -> server -> result
+(** Raises [Invalid_argument] when [connections < 1] or when
+    [duration_ns] or [warmup_ns] is negative or not finite. *)
 
 val run_many : config -> server list -> result list
 (** Run several servers {i sharing the simulated time axis} but with
     independent queues (one client group per server), e.g. the
-    per-container wrk threads of Figure 8. *)
+    per-container wrk threads of Figure 8.  Validates [config] as
+    {!run} does. *)

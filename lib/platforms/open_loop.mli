@@ -28,7 +28,9 @@ type result = {
 
 val run : config -> Closed_loop.server -> result
 (** Requests arrive as a Poisson process; each takes
-    [service_ns + overhead_ns] on the least-loaded unit, FIFO. *)
+    [service_ns + overhead_ns] on the least-loaded unit, FIFO.  Raises
+    [Invalid_argument] when the rate is not finite and positive, or
+    when [duration_ns] or [warmup_ns] is negative or not finite. *)
 
 val utilization : result -> service_ns:float -> units:int -> float
 (** Offered load as a fraction of capacity. *)

@@ -1,15 +1,13 @@
-(* Dual-array layout: the keys live in a flat [float array] (unboxed
-   float storage, no per-entry record allocation), the FIFO tie-break
-   sequence numbers in an [int array], and the payloads in an
-   ['a array].  The value array stays physically empty until the first
-   push materialises it with a real element as filler, so no [Obj.magic]
-   dummy is ever needed.  Sifting moves a hole instead of swapping:
-   one write per level per array. *)
+(* Three flat arrays: the keys in a [float array] (unboxed float
+   storage, no per-entry record allocation), the FIFO tie-break
+   sequence numbers and the payloads in [int array]s.  No array holds
+   a pointer, so sifting runs no write barrier.  Sifting moves a hole
+   instead of swapping: one write per level per array. *)
 
-type 'a t = {
+type t = {
   mutable keys : float array;
   mutable seqs : int array;
-  mutable values : 'a array;  (* length 0 until the first push *)
+  mutable values : int array;
   mutable size : int;
   mutable next_seq : int;
 }
@@ -19,7 +17,7 @@ let create ?(capacity = 64) () =
   {
     keys = Array.make cap 0.;
     seqs = Array.make cap 0;
-    values = [||];
+    values = Array.make cap 0;
     size = 0;
     next_seq = 0;
   }
@@ -27,21 +25,17 @@ let create ?(capacity = 64) () =
 let length t = t.size
 let is_empty t = t.size = 0
 
-(* [v] doubles as the filler for fresh slots. *)
-let ensure_room t v =
-  if Array.length t.values = 0 then t.values <- Array.make (Array.length t.keys) v
-  else if t.size = Array.length t.keys then begin
-    let cap = 2 * t.size in
-    let keys = Array.make cap 0. in
-    Array.blit t.keys 0 keys 0 t.size;
-    t.keys <- keys;
-    let seqs = Array.make cap 0 in
-    Array.blit t.seqs 0 seqs 0 t.size;
-    t.seqs <- seqs;
-    let values = Array.make cap v in
-    Array.blit t.values 0 values 0 t.size;
-    t.values <- values
-  end
+let grow t =
+  let cap = 2 * t.size in
+  let keys = Array.make cap 0. in
+  Array.blit t.keys 0 keys 0 t.size;
+  t.keys <- keys;
+  let seqs = Array.make cap 0 in
+  Array.blit t.seqs 0 seqs 0 t.size;
+  t.seqs <- seqs;
+  let values = Array.make cap 0 in
+  Array.blit t.values 0 values 0 t.size;
+  t.values <- values
 
 (* Move the hole at [i] up while the pushed (key, seq) sorts before the
    parent, then drop the element in. *)
@@ -64,9 +58,12 @@ let sift_up t i key seq v =
   t.values.(!i) <- v
 
 (* Move the hole at the root down along the smaller-child path until
-   (key, seq) fits, then drop the element in. *)
-let sift_down t key seq v =
+   the last element (key, seq, v at index [size]) fits, then drop it
+   in.  Reading the element here rather than taking it as arguments
+   keeps its key unboxed. *)
+let sift_down_last t =
   let n = t.size in
+  let key = t.keys.(n) and seq = t.seqs.(n) and v = t.values.(n) in
   let i = ref 0 in
   let moving = ref true in
   while !moving do
@@ -96,21 +93,30 @@ let sift_down t key seq v =
   t.values.(!i) <- v
 
 let push t key value =
-  ensure_room t value;
+  if t.size = Array.length t.keys then grow t;
   let i = t.size in
   t.size <- i + 1;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   sift_up t i key seq value
 
+let pop_into t cell =
+  if t.size = 0 then invalid_arg "Heap.pop_into: empty heap";
+  cell.(0) <- t.keys.(0);
+  let v = t.values.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then sift_down_last t;
+  v
+
+let min_le t cell = t.size > 0 && t.keys.(0) <= cell.(0)
+
 let pop t =
   if t.size = 0 then None
   else begin
-    let key = t.keys.(0) and v = t.values.(0) in
-    let n = t.size - 1 in
-    t.size <- n;
-    if n > 0 then sift_down t t.keys.(n) t.seqs.(n) t.values.(n);
-    Some (key, v)
+    let cell = [| 0. |] in
+    let v = pop_into t cell in
+    Some (cell.(0), v)
   end
 
 let peek t = if t.size = 0 then None else Some (t.keys.(0), t.values.(0))

@@ -274,6 +274,32 @@ let test_open_loop_deterministic () =
   let b = Xc_platforms.Open_loop.run cfg (ol_server 20_000. 2) in
   Alcotest.(check (float 1e-9)) "deterministic" a.completed_rps b.completed_rps
 
+(* Bad driver inputs are refused up front with a named message.  An
+   infinite rate used to hang (every gap 0, arrivals forever at one
+   timestamp) and a NaN rate failed as an event in the past. *)
+let open_loop_rejects =
+  let config = Xc_platforms.Open_loop.config in
+  let rate = "Open_loop.run: rate_rps must be finite and > 0" in
+  let duration = "Open_loop.run: duration_ns must be finite and >= 0" in
+  let warmup = "Open_loop.run: warmup_ns must be finite and >= 0" in
+  List.map
+    (fun (name, cfg, msg) ->
+      Alcotest.test_case ("rejects " ^ name) `Quick (fun () ->
+          Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+              ignore (Xc_platforms.Open_loop.run cfg (ol_server 20_000. 1)))))
+    [
+      ("infinite rate", config ~rate_rps:Float.infinity (), rate);
+      ("NaN rate", config ~rate_rps:Float.nan (), rate);
+      ("zero rate", config ~rate_rps:0. (), rate);
+      ("negative rate", config ~rate_rps:(-5.) (), rate);
+      ("NaN duration", config ~duration_ns:Float.nan ~rate_rps:1e3 (), duration);
+      ("infinite duration", config ~duration_ns:Float.infinity ~rate_rps:1e3 (), duration);
+      ("negative duration", config ~duration_ns:(-1.) ~rate_rps:1e3 (), duration);
+      ("NaN warmup", config ~warmup_ns:Float.nan ~rate_rps:1e3 (), warmup);
+      ("infinite warmup", config ~warmup_ns:Float.infinity ~rate_rps:1e3 (), warmup);
+      ("negative warmup", config ~warmup_ns:(-1.) ~rate_rps:1e3 (), warmup);
+    ]
+
 let suites =
   [
     ( "ext.ablation",
@@ -318,5 +344,6 @@ let suites =
         Alcotest.test_case "saturation tail" `Quick test_open_loop_saturation_tail;
         Alcotest.test_case "overload" `Quick test_open_loop_overload;
         Alcotest.test_case "deterministic" `Quick test_open_loop_deterministic;
-      ] );
+      ]
+      @ open_loop_rejects );
   ]

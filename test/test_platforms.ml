@@ -215,6 +215,31 @@ let test_closed_loop_run_many () =
   let a = List.nth results 0 and b = List.nth results 1 in
   Alcotest.(check bool) "faster server wins" true (a.throughput_rps > b.throughput_rps)
 
+(* Bad driver inputs are refused up front with a named message, not
+   run into a NaN throughput or a silent zero. *)
+let closed_loop_rejects =
+  let base = { Closed_loop.default_config with duration_ns = 1e6; warmup_ns = 0. } in
+  let connections = "Closed_loop.run: connections must be >= 1" in
+  let duration = "Closed_loop.run: duration_ns must be finite and >= 0" in
+  let warmup = "Closed_loop.run: warmup_ns must be finite and >= 0" in
+  List.map
+    (fun (name, config, msg) ->
+      Alcotest.test_case ("rejects " ^ name) `Quick (fun () ->
+          Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+              ignore (Closed_loop.run config (base_server 1_000.)));
+          Alcotest.check_raises (name ^ ", run_many") (Invalid_argument msg)
+            (fun () -> ignore (Closed_loop.run_many config [ base_server 1_000. ]))))
+    [
+      ("zero connections", { base with connections = 0 }, connections);
+      ("negative connections", { base with connections = -3 }, connections);
+      ("NaN duration", { base with duration_ns = Float.nan }, duration);
+      ("infinite duration", { base with duration_ns = Float.infinity }, duration);
+      ("negative duration", { base with duration_ns = -1. }, duration);
+      ("NaN warmup", { base with warmup_ns = Float.nan }, warmup);
+      ("infinite warmup", { base with warmup_ns = Float.infinity }, warmup);
+      ("negative warmup", { base with warmup_ns = -1. }, warmup);
+    ]
+
 let suites =
   [
     ( "platforms.config",
@@ -248,5 +273,6 @@ let suites =
         Alcotest.test_case "units scale" `Quick test_closed_loop_units_scale;
         Alcotest.test_case "overhead hurts" `Quick test_closed_loop_overhead_hurts;
         Alcotest.test_case "run_many" `Quick test_closed_loop_run_many;
-      ] );
+      ]
+      @ closed_loop_rejects );
   ]

@@ -82,6 +82,38 @@ let test_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "same elements" (Array.init 50 (fun i -> i)) sorted
 
+(* Known answers pinned from the earlier generator that kept its state
+   in an [int64] field: the byte-backed state must draw the very same
+   SplitMix64 stream, through every entry point. *)
+let test_prng_known_answers () =
+  let r = Prng.create 42 in
+  let next () = Prng.next_int64 r in
+  let i64 = Alcotest.int64 in
+  let hex = Alcotest.(check string) in
+  List.iter
+    (fun v -> Alcotest.check i64 "create 42" v (next ()))
+    [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L ];
+  let c = Prng.split r in
+  Alcotest.check i64 "split child" (-636512592851386625L) (Prng.next_int64 c);
+  Alcotest.check i64 "split child" 5614385496272150924L (Prng.next_int64 c);
+  Alcotest.check i64 "parent after split" (-353919125003956057L) (next ());
+  let k = Prng.copy r in
+  Alcotest.check i64 "copy" 4337243929683858115L (Prng.next_int64 k);
+  Alcotest.check i64 "original after copy" 4337243929683858115L (next ());
+  Alcotest.(check int) "int 1000" 585 (Prng.int r 1000);
+  Alcotest.(check int) "int 7" 3 (Prng.int r 7);
+  hex "float 1" "0x1.8578493c50ec1p-1" (Printf.sprintf "%h" (Prng.float r 1.0));
+  hex "float 1e6" "0x1.dc2ca23173eb4p+17" (Printf.sprintf "%h" (Prng.float r 1e6));
+  hex "normal 100 5" "0x1.9b11cd678d4e9p+6"
+    (Printf.sprintf "%h" (Prng.normal r ~mean:100. ~stddev:5.));
+  hex "normal 0 1" "0x1.9b685848f051cp-2"
+    (Printf.sprintf "%h" (Prng.normal r ~mean:0. ~stddev:1.));
+  hex "exponential 5" "0x1.05b427ffa93d4p+4"
+    (Printf.sprintf "%h" (Prng.exponential r ~mean:5.));
+  hex "exponential 1e3" "0x1.3bb0d4a601901p+7"
+    (Printf.sprintf "%h" (Prng.exponential r ~mean:1e3));
+  Alcotest.check i64 "stream position" 1249937263032049875L (next ())
+
 let prng_props =
   [
     QCheck.Test.make ~name:"int bounded" ~count:500
@@ -113,16 +145,17 @@ let prng_props =
 
 let test_heap_basic () =
   let h = Heap.create () in
+  let entry = Alcotest.(option (pair (float 0.) int)) in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Heap.push h 3.0 "c";
-  Heap.push h 1.0 "a";
-  Heap.push h 2.0 "b";
+  Heap.push h 3.0 30;
+  Heap.push h 1.0 10;
+  Heap.push h 2.0 20;
   Alcotest.(check int) "length" 3 (Heap.length h);
-  Alcotest.(check (option (pair (float 0.) string))) "peek" (Some (1.0, "a")) (Heap.peek h);
-  Alcotest.(check (option (pair (float 0.) string))) "pop a" (Some (1.0, "a")) (Heap.pop h);
-  Alcotest.(check (option (pair (float 0.) string))) "pop b" (Some (2.0, "b")) (Heap.pop h);
-  Alcotest.(check (option (pair (float 0.) string))) "pop c" (Some (3.0, "c")) (Heap.pop h);
-  Alcotest.(check (option (pair (float 0.) string))) "drained" None (Heap.pop h)
+  Alcotest.check entry "peek" (Some (1.0, 10)) (Heap.peek h);
+  Alcotest.check entry "pop 10" (Some (1.0, 10)) (Heap.pop h);
+  Alcotest.check entry "pop 20" (Some (2.0, 20)) (Heap.pop h);
+  Alcotest.check entry "pop 30" (Some (3.0, 30)) (Heap.pop h);
+  Alcotest.check entry "drained" None (Heap.pop h)
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
@@ -141,9 +174,31 @@ let test_heap_grow () =
 
 let test_heap_clear () =
   let h = Heap.create () in
-  Heap.push h 1.0 ();
+  Heap.push h 1.0 0;
   Heap.clear h;
   Alcotest.(check bool) "cleared" true (Heap.is_empty h)
+
+(* [pop_into] is [pop] without the option: the key lands in the
+   caller's cell, the payload is returned, FIFO among ties, and an
+   empty heap raises. *)
+let test_heap_pop_into () =
+  let h = Heap.create ~capacity:1 () in
+  List.iter (fun (k, v) -> Heap.push h k v) [ (2.5, 7); (1.0, -3); (2.5, 8); (0.5, 0) ];
+  Alcotest.(check bool) "min_le below" false (Heap.min_le h [| 0.25 |]);
+  Alcotest.(check bool) "min_le equal" true (Heap.min_le h [| 0.5 |]);
+  let cell = [| Float.nan |] in
+  let drained =
+    List.init 4 (fun _ ->
+        let v = Heap.pop_into h cell in
+        (cell.(0), v))
+  in
+  Alcotest.(check (list (pair (float 0.) int)))
+    "sorted, FIFO among ties"
+    [ (0.5, 0); (1.0, -3); (2.5, 7); (2.5, 8) ]
+    drained;
+  Alcotest.(check bool) "min_le on empty" false (Heap.min_le h [| infinity |]);
+  Alcotest.check_raises "empty" (Invalid_argument "Heap.pop_into: empty heap")
+    (fun () -> ignore (Heap.pop_into h cell))
 
 (* Regression: the seed heap initialised its array with [Obj.magic 0]
    and [grow] read [data.(0)] before any push; a heap created at
@@ -532,6 +587,128 @@ let test_engine_until_fast_lane () =
   Alcotest.(check (list int)) "both ran" [ 1; 2 ] (List.rev !log);
   check_float "clock at until" 10. (Engine.now e)
 
+let test_engine_nan_raises () =
+  let e = Engine.create ~handler:(fun _ _ -> ()) () in
+  Alcotest.check_raises "closure" (Invalid_argument "Engine.schedule: NaN time")
+    (fun () -> Engine.schedule e Float.nan (fun _ -> ()));
+  Alcotest.check_raises "int" (Invalid_argument "Engine.schedule_int: NaN time")
+    (fun () -> Engine.schedule_int e Float.nan 0);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending e)
+
+let test_engine_int_no_handler () =
+  let e = Engine.create () in
+  Alcotest.check_raises "no handler"
+    (Invalid_argument "Engine.schedule_int: engine has no int handler")
+    (fun () -> Engine.schedule_int e 1. 0)
+
+let test_engine_int_negative () =
+  let e = Engine.create ~handler:(fun _ _ -> ()) () in
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Engine.schedule_int: negative payload")
+    (fun () -> Engine.schedule_int e 1. (-1))
+
+let test_engine_int_events () =
+  let log = ref [] in
+  let e =
+    Engine.create
+      ~handler:(fun e k ->
+        log := (Engine.now e, k) :: !log;
+        if k = 2 then Engine.schedule_int e (Engine.now e) 7)
+      ()
+  in
+  Engine.schedule_int e 20. 2;
+  Engine.schedule_int e 10. 1;
+  Engine.schedule e 20. (fun e -> log := (Engine.now e, -1) :: !log);
+  Engine.run e;
+  Alcotest.(check (list (pair (float 0.) int)))
+    "int and closure events share one order"
+    [ (10., 1); (20., 2); (20., -1); (20., 7) ]
+    (List.rev !log);
+  Alcotest.(check int) "executed" 4 (Engine.events_executed e)
+
+(* Closures live in a slot table; a slot is reused once its closure has
+   run, so the table stops at the most closures ever pending at once. *)
+let test_engine_slot_table_bounded () =
+  let e = Engine.create () in
+  for _ = 1 to 20 do
+    for i = 1 to 40 do
+      Engine.schedule e (Engine.now e +. float_of_int i) (fun _ -> ())
+    done;
+    Engine.run e
+  done;
+  Alcotest.(check int) "40 pending at most" 40 (Engine.closure_slots e);
+  let e = Engine.create () in
+  let left = ref 1000 in
+  let rec tick e =
+    if !left > 0 then begin
+      decr left;
+      Engine.schedule_after e 3. tick
+    end
+  in
+  for i = 1 to 8 do
+    Engine.schedule e (float_of_int i) tick
+  done;
+  Engine.run e;
+  Alcotest.(check int) "self-rescheduling at depth 8" 8 (Engine.closure_slots e);
+  Alcotest.(check int) "all ran" 1008 (Engine.events_executed e)
+
+(* Closure and int events from one engine, at times drawn from a tiny
+   pool so ties and the same-timestamp lane are frequent, with
+   [run ~until] in between.  Every event whose id is a multiple of 3
+   schedules a child of the other kind at its own time or one later.
+   The reference keeps pending (time, id) pairs and always runs the
+   least: a stable sort by (time, insertion) that also covers events
+   scheduled while running. *)
+let mixed_order_prop =
+  QCheck.Test.make ~name:"closure and int events run in (time, insertion) order"
+    ~count:500
+    QCheck.(list (pair bool (pair bool (int_range 0 3))))
+    (fun ops ->
+      let log = ref [] and next_id = ref 0 in
+      let rec sched e t is_int =
+        let id = !next_id in
+        incr next_id;
+        if is_int then Engine.schedule_int e (float_of_int t) id
+        else Engine.schedule e (float_of_int t) (fun e -> fire e id false)
+      and fire e id is_int =
+        let t = int_of_float (Engine.now e) in
+        log := (t, id) :: !log;
+        if id mod 3 = 0 then sched e (t + (id / 3 mod 2)) (not is_int)
+      in
+      let e = Engine.create ~handler:(fun e id -> fire e id true) () in
+      let pending = ref [] and clock = ref 0 and ids = ref 0 and expected = ref [] in
+      let model_sched t is_int =
+        pending := (t, !ids, is_int) :: !pending;
+        incr ids
+      in
+      let rec model_run stop =
+        match List.filter (fun (t, _, _) -> t <= stop) !pending with
+        | [] -> ()
+        | first :: rest ->
+            let ((t, id, is_int) as ev) = List.fold_left min first rest in
+            pending := List.filter (( <> ) ev) !pending;
+            clock := t;
+            expected := (t, id) :: !expected;
+            if id mod 3 = 0 then model_sched (t + (id / 3 mod 2)) (not is_int);
+            model_run stop
+      in
+      List.iter
+        (fun (until, (is_int, d)) ->
+          if until then begin
+            let stop = !clock + d in
+            Engine.run ~until:(float_of_int stop) e;
+            model_run stop;
+            clock := Stdlib.max !clock stop
+          end
+          else begin
+            sched e (int_of_float (Engine.now e) + d) is_int;
+            model_sched (!clock + d) is_int
+          end)
+        ops;
+      Engine.run e;
+      model_run max_int;
+      List.rev !log = List.rev !expected && Engine.pending e = 0)
+
 let engine_props =
   [
     QCheck.Test.make ~name:"events execute in timestamp order" ~count:200
@@ -566,6 +743,7 @@ let suites =
         Alcotest.test_case "uniform mean" `Quick test_prng_mean;
         Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
         Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
+        Alcotest.test_case "SplitMix64 known answers" `Quick test_prng_known_answers;
       ]
       @ qsuite prng_props );
     ( "sim.heap",
@@ -574,6 +752,7 @@ let suites =
         Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
         Alcotest.test_case "grow" `Quick test_heap_grow;
         Alcotest.test_case "clear" `Quick test_heap_clear;
+        Alcotest.test_case "pop_into" `Quick test_heap_pop_into;
         Alcotest.test_case "capacity-1 grow/drain" `Quick
           test_heap_capacity_one_grow_drain;
       ]
@@ -623,6 +802,14 @@ let suites =
         Alcotest.test_case "events executed" `Quick test_engine_events_executed;
         Alcotest.test_case "domain events" `Quick test_engine_domain_events;
         Alcotest.test_case "until fast lane" `Quick test_engine_until_fast_lane;
+        Alcotest.test_case "NaN time raises" `Quick test_engine_nan_raises;
+        Alcotest.test_case "int event without handler raises" `Quick
+          test_engine_int_no_handler;
+        Alcotest.test_case "negative int payload raises" `Quick
+          test_engine_int_negative;
+        Alcotest.test_case "int events" `Quick test_engine_int_events;
+        Alcotest.test_case "slot table bounded" `Quick
+          test_engine_slot_table_bounded;
       ]
-      @ qsuite engine_props );
+      @ qsuite (mixed_order_prop :: engine_props) );
   ]
