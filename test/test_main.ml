@@ -16,4 +16,5 @@ let () =
    @ Test_bench_check.suites
    @ Test_tails.suites @ Test_metrics.suites @ Test_bench_history.suites
    @ Test_lb.suites @ Test_cluster_fluid.suites @ Test_suite.suites
-   @ Test_causal.suites @ Test_price.suites @ Test_alloc.suites)
+   @ Test_causal.suites @ Test_price.suites @ Test_alloc.suites
+   @ Test_export.suites)
