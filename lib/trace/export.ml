@@ -5,81 +5,91 @@ let fmt_ns = Profile.fmt_ns
 (* Categories and names are low-cardinality identifiers we control;
    sanitising (rather than quoting) keeps both formats line-oriented
    and trivially parseable. *)
-let sanitize s =
-  String.map
-    (fun c ->
-      match c with '"' | '\\' | ',' | '\n' | '\r' -> ';' | _ -> c)
-    s
+let sanitize c =
+  match c with '"' | '\\' | ',' | '\n' | '\r' -> ';' | _ -> c
 
 (* ---------------- Chrome trace-event JSON ---------------- *)
 
-let chrome_event buf ~tid (ev : Trace.event) =
-  let us v = v /. 1e3 in
-  match ev.kind with
+let chrome_event w ~tid (ev : Trace.event) =
+  Writer.string w
+    (match ev.kind with
+    | Trace.Span -> ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":"
+    | Trace.Instant -> ",\n{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":"
+    | Trace.Counter -> ",\n{\"ph\":\"C\",\"pid\":1,\"tid\":");
+  Writer.string w tid;
+  Writer.string w ",\"cat\":\"";
+  Writer.mapped w sanitize ev.cat;
+  Writer.string w "\",\"name\":\"";
+  Writer.mapped w sanitize ev.name;
+  Writer.string w "\",\"ts\":";
+  Writer.fixed w 6 (ev.ts /. 1e3);
+  let value () =
+    Writer.string w ",\"args\":{\"value\":";
+    Writer.fixed w 6 ev.value;
+    Writer.char w '}'
+  in
+  (match ev.kind with
   | Trace.Span ->
+      Writer.string w ",\"dur\":";
+      Writer.fixed w 6 (ev.dur /. 1e3);
       (* Spans normally carry no value; request spans use it for the
          request id, which riders like [Profile.requests] (and a human
          in the Perfetto UI) read back from args. *)
-      if ev.value <> 0. then
-        Printf.bprintf buf
-          "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"cat\":\"%s\",\"name\":\"%s\",\"ts\":%.6f,\"dur\":%.6f,\"args\":{\"value\":%.6f}}"
-          tid (sanitize ev.cat) (sanitize ev.name) (us ev.ts) (us ev.dur)
-          ev.value
-      else
-        Printf.bprintf buf
-          "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"cat\":\"%s\",\"name\":\"%s\",\"ts\":%.6f,\"dur\":%.6f}"
-          tid (sanitize ev.cat) (sanitize ev.name) (us ev.ts) (us ev.dur)
-  | Trace.Instant ->
-      Printf.bprintf buf
-        "{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"cat\":\"%s\",\"name\":\"%s\",\"ts\":%.6f}"
-        tid (sanitize ev.cat) (sanitize ev.name) (us ev.ts)
-  | Trace.Counter ->
-      Printf.bprintf buf
-        "{\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"cat\":\"%s\",\"name\":\"%s\",\"ts\":%.6f,\"args\":{\"value\":%.6f}}"
-        tid (sanitize ev.cat) (sanitize ev.name) (us ev.ts) ev.value
+      if ev.value <> 0. then value ()
+  | Trace.Instant -> ()
+  | Trace.Counter -> value ());
+  Writer.char w '}'
 
 let to_chrome ?(dropped = 0) tracks =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  let first = ref true in
-  let emit f =
-    if !first then first := false else Buffer.add_string buf ",\n";
-    f ()
-  in
-  List.iteri
-    (fun i (name, _) ->
-      emit (fun () ->
-          Printf.bprintf buf
-            "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}"
-            (i + 1) (sanitize name)))
-    tracks;
-  List.iteri
-    (fun i (_, evs) ->
-      List.iter (fun ev -> emit (fun () -> chrome_event buf ~tid:(i + 1) ev)) evs)
-    tracks;
-  Printf.bprintf buf
-    "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{\"dropped\":%d}}\n" dropped;
-  Buffer.contents buf
+  let tids = Array.of_list (List.mapi (fun i _ -> string_of_int (i + 1)) tracks) in
+  Writer.render (fun w ->
+      Writer.string w "{\"traceEvents\":[\n";
+      (* One thread_name record per track comes first, so every event
+         record is preceded by a separator. *)
+      List.iteri
+        (fun i (name, _) ->
+          if i > 0 then Writer.string w ",\n";
+          Writer.string w "{\"ph\":\"M\",\"pid\":1,\"tid\":";
+          Writer.string w tids.(i);
+          Writer.string w ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
+          Writer.mapped w sanitize name;
+          Writer.string w "\"}}")
+        tracks;
+      List.iteri
+        (fun i (_, evs) -> List.iter (chrome_event w ~tid:tids.(i)) evs)
+        tracks;
+      Writer.string w "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{\"dropped\":";
+      Writer.int w dropped;
+      Writer.string w "}}\n")
 
 (* ---------------- CSV ---------------- *)
 
 let csv_header = "track,kind,cat,name,ts_ns,dur_ns,value"
 
 let to_csv tracks =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf csv_header;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (track, evs) ->
-      let track = sanitize track in
+  Writer.render (fun w ->
+      Writer.string w csv_header;
+      Writer.char w '\n';
       List.iter
-        (fun (ev : Trace.event) ->
-          Printf.bprintf buf "%s,%s,%s,%s,%.3f,%.3f,%.6f\n" track
-            (Trace.kind_to_string ev.kind)
-            (sanitize ev.cat) (sanitize ev.name) ev.ts ev.dur ev.value)
-        evs)
-    tracks;
-  Buffer.contents buf
+        (fun (track, evs) ->
+          List.iter
+            (fun (ev : Trace.event) ->
+              Writer.mapped w sanitize track;
+              Writer.char w ',';
+              Writer.string w (Trace.kind_to_string ev.kind);
+              Writer.char w ',';
+              Writer.mapped w sanitize ev.cat;
+              Writer.char w ',';
+              Writer.mapped w sanitize ev.name;
+              Writer.char w ',';
+              Writer.fixed w 3 ev.ts;
+              Writer.char w ',';
+              Writer.fixed w 3 ev.dur;
+              Writer.char w ',';
+              Writer.fixed w 6 ev.value;
+              Writer.char w '\n')
+            evs)
+        tracks)
 
 let to_folded = Profile.to_folded
 
@@ -89,9 +99,7 @@ let to_file ?dropped ~path tracks =
     else if Filename.check_suffix path ".folded" then to_folded tracks
     else to_chrome ?dropped tracks
   in
-  let oc = open_out path in
-  output_string oc data;
-  close_out oc
+  Out_channel.with_open_bin path (fun oc -> output_string oc data)
 
 (* ---------------- Parsing (own formats only) ---------------- *)
 
@@ -130,29 +138,31 @@ let events_of_csv s =
 
 (* Naive field extraction over the one-event-per-line JSON this module
    itself writes; no general JSON parser needed (or allowed — no new
-   dependencies). *)
-let find_string_field line key =
-  let pat = Printf.sprintf "\"%s\":\"" key in
+   dependencies).  [pat] is the whole ["\"key\":"] prefix, matched in
+   place; the result is the offset just past it. *)
+let field_start line pat =
   let plen = String.length pat and llen = String.length line in
+  let rec matches i k = k = plen || (line.[i + k] = pat.[k] && matches i (k + 1)) in
   let rec search i =
     if i + plen > llen then None
-    else if String.sub line i plen = pat then begin
-      let start = i + plen in
-      match String.index_from_opt line start '"' with
-      | Some stop -> Some (String.sub line start (stop - start))
-      | None -> None
-    end
+    else if matches i 0 then Some (i + plen)
     else search (i + 1)
   in
   search 0
 
-let find_float_field line key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let plen = String.length pat and llen = String.length line in
-  let rec search i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then begin
-      let start = i + plen in
+let find_string_field line pat =
+  match field_start line pat with
+  | None -> None
+  | Some start -> (
+      match String.index_from_opt line start '"' with
+      | Some stop -> Some (String.sub line start (stop - start))
+      | None -> None)
+
+let find_float_field line pat =
+  match field_start line pat with
+  | None -> None
+  | Some start ->
+      let llen = String.length line in
       let stop = ref start in
       while
         !stop < llen
@@ -163,14 +173,10 @@ let find_float_field line key =
         incr stop
       done;
       float_of_string_opt (String.sub line start (!stop - start))
-    end
-    else search (i + 1)
-  in
-  search 0
 
 let events_of_chrome s =
   let parse_line lineno line acc =
-    match find_string_field line "ph" with
+    match find_string_field line "\"ph\":\"" with
     | None | Some "M" -> Ok acc
     | Some ph -> (
         let kind =
@@ -183,20 +189,20 @@ let events_of_chrome s =
         match kind with
         | None -> Ok acc
         | Some kind -> (
-            let cat = Option.value ~default:"" (find_string_field line "cat") in
+            let cat = Option.value ~default:"" (find_string_field line "\"cat\":\"") in
             let name =
-              Option.value ~default:"" (find_string_field line "name")
+              Option.value ~default:"" (find_string_field line "\"name\":\"")
             in
-            match find_float_field line "ts" with
+            match find_float_field line "\"ts\":" with
             | None -> Error (Printf.sprintf "json line %d: missing ts" lineno)
             | Some ts_us ->
                 let dur =
-                  match find_float_field line "dur" with
+                  match find_float_field line "\"dur\":" with
                   | Some d -> d *. 1e3
                   | None -> 0.
                 in
                 let value =
-                  Option.value ~default:0. (find_float_field line "value")
+                  Option.value ~default:0. (find_float_field line "\"value\":")
                 in
                 Ok
                   ({ Trace.kind; cat; name; ts = ts_us *. 1e3; dur; value }
@@ -250,26 +256,36 @@ let tails_csv_header = "label,pct,cut_ns,n_requests,n_tail,mech,spans,self_ns"
 let total_frame = "(window-total)"
 
 let to_tails_csv (tails : Profile.tail list) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf tails_csv_header;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (t : Profile.tail) ->
-      let label = sanitize t.label in
-      let row mech spans ns =
-        Printf.bprintf buf "%s,%.3f,%.3f,%d,%d,%s,%d,%.3f\n" label t.pct
-          t.cut_ns t.n_requests t.n_tail (sanitize mech) spans ns
-      in
-      List.iter (fun (cat, n, ns) -> row cat n ns) t.tail_mech;
-      row Profile.self_frame 0 t.tail_self_ns;
-      row total_frame 0 t.tail_total_ns)
-    tails;
-  Buffer.contents buf
+  Writer.render (fun w ->
+      Writer.string w tails_csv_header;
+      Writer.char w '\n';
+      List.iter
+        (fun (t : Profile.tail) ->
+          let row mech spans ns =
+            Writer.mapped w sanitize t.label;
+            Writer.char w ',';
+            Writer.fixed w 3 t.pct;
+            Writer.char w ',';
+            Writer.fixed w 3 t.cut_ns;
+            Writer.char w ',';
+            Writer.int w t.n_requests;
+            Writer.char w ',';
+            Writer.int w t.n_tail;
+            Writer.char w ',';
+            Writer.mapped w sanitize mech;
+            Writer.char w ',';
+            Writer.int w spans;
+            Writer.char w ',';
+            Writer.fixed w 3 ns;
+            Writer.char w '\n'
+          in
+          List.iter (fun (cat, n, ns) -> row cat n ns) t.tail_mech;
+          row Profile.self_frame 0 t.tail_self_ns;
+          row total_frame 0 t.tail_total_ns)
+        tails)
 
 let tails_to_file ~path tails =
-  let oc = open_out path in
-  output_string oc (to_tails_csv tails);
-  close_out oc
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_tails_csv tails))
 
 (* Mutable per-tail accumulator while grouping parsed rows. *)
 type tail_group = {

@@ -7,99 +7,149 @@ let fmt_ns ns =
 
 (* Collapsed-stack frames are separated by ';' and stacks end at the
    first ' ', so neither may appear inside a frame. *)
-let frame_escape s =
-  String.map (fun c -> match c with ';' -> ':' | ' ' -> '_' | _ -> c) s
-
-let frame_of (ev : Trace.event) =
-  frame_escape ev.cat ^ ";" ^ frame_escape ev.name
+let frame_char c = match c with ';' -> ':' | ' ' -> '_' | _ -> c
+let frame_escape s = String.map frame_char s
 
 (* ---------------- Folding span timelines into stacks ---------------- *)
 
-(* An open span on the fold stack: the stack path that leads to it,
-   where it ends, and how much self-time it still owns (children
-   subtract from it as they are discovered). *)
-type open_span = {
-  path : string;
-  end_ts : float;
-  mutable self : float;
-}
+(* The positive-duration spans in canonical order: by start time; at
+   equal starts the longer span is the parent, and (cat,name) breaks
+   the remaining ties so every fold of a trace is deterministic
+   regardless of input order. *)
+let sorted_spans evs =
+  let spans =
+    Array.of_list
+      (List.filter (fun (ev : Trace.event) -> ev.kind = Trace.Span && ev.dur > 0.) evs)
+  in
+  Array.stable_sort
+    (fun (a : Trace.event) (b : Trace.event) ->
+      match Float.compare a.ts b.ts with
+      | 0 -> (
+          match Float.compare b.dur a.dur with
+          | 0 -> (
+              match String.compare a.cat b.cat with
+              | 0 -> String.compare a.name b.name
+              | c -> c)
+          | c -> c)
+      | c -> c)
+    spans;
+  spans
+
+let eps_for x = (1e-9 *. Float.abs x) +. 1e-6
 
 let fold ?root evs =
-  let spans =
-    List.filter (fun (ev : Trace.event) -> ev.kind = Trace.Span && ev.dur > 0.) evs
+  let spans = sorted_spans evs in
+  let n = Array.length spans in
+  (* Frames are interned by their escaped text (two (cat,name) pairs
+     can escape alike), so each path string below is rendered once. *)
+  let frame_ids : (string * string, int) Hashtbl.t = Hashtbl.create 16 in
+  let text_ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let frame (s : Trace.event) =
+    match Hashtbl.find frame_ids (s.cat, s.name) with
+    | f -> f
+    | exception Not_found ->
+        let text = frame_escape s.cat ^ ";" ^ frame_escape s.name in
+        let f =
+          match Hashtbl.find text_ids text with
+          | f -> f
+          | exception Not_found ->
+              let f = Hashtbl.length text_ids in
+              Hashtbl.add text_ids text f;
+              f
+        in
+        Hashtbl.add frame_ids (s.cat, s.name) f;
+        f
   in
-  (* Sort by start time; at equal starts the longer span is the
-     parent, and (cat,name) breaks the remaining ties so the fold is
-     deterministic regardless of input order. *)
-  let spans =
-    List.stable_sort
-      (fun (a : Trace.event) (b : Trace.event) ->
-        match compare a.ts b.ts with
-        | 0 -> (
-            match compare b.dur a.dur with
-            | 0 -> compare (a.cat, a.name) (b.cat, b.name)
-            | c -> c)
-        | c -> c)
-      spans
+  (* Stack ids are call-tree nodes keyed by (parent id, frame id).  The
+     open spans form one chain of distinct ids, so an open span lives
+     in its id's cells: [3id] its end, [3id+1] the self-time it still
+     owns (children subtract from it as they are discovered), [3id+2]
+     the self-time summed over its closed spans, in pop order. *)
+  let stack_ids : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let parent = ref [||] and cells = ref (Float.Array.create 0) in
+  let stack parent_id f =
+    let key = ((parent_id + 1) * n) + f in
+    match Hashtbl.find stack_ids key with
+    | id -> id
+    | exception Not_found ->
+        let id = Hashtbl.length stack_ids in
+        Hashtbl.add stack_ids key id;
+        if id = Array.length !parent then begin
+          let cap = max 16 (2 * id) in
+          parent := Array.append !parent (Array.make (cap - id) 0);
+          let c = Float.Array.make (3 * cap) 0. in
+          Float.Array.blit !cells 0 c 0 (3 * id);
+          cells := c
+        end;
+        !parent.(id) <- parent_id;
+        id
   in
-  let out : (string, float ref) Hashtbl.t = Hashtbl.create 64 in
-  let add path self =
-    if self > 0. then
-      match Hashtbl.find_opt out path with
-      | Some r -> r := !r +. self
-      | None -> Hashtbl.add out path (ref self)
-  in
-  let stack = ref [] in
+  let get id k = Float.Array.get !cells ((3 * id) + k) in
+  let set id k v = Float.Array.set !cells ((3 * id) + k) v in
+  let top = ref (-1) in
   let pop () =
-    match !stack with
-    | [] -> ()
-    | top :: rest ->
-        add top.path top.self;
-        stack := rest
+    let id = !top in
+    let self = get id 1 in
+    if self > 0. then set id 2 (get id 2 +. self);
+    top := !parent.(id)
   in
-  let eps_for x = (1e-9 *. Float.abs x) +. 1e-6 in
-  List.iter
+  Array.iter
     (fun (s : Trace.event) ->
       let s_end = s.ts +. s.dur in
       (* Pop anything this span does not nest inside.  Input is sorted
          by start time, so only the end boundary needs checking. *)
-      let rec unwind () =
-        match !stack with
-        | top :: _ when s_end > top.end_ts +. eps_for top.end_ts ->
-            pop ();
-            unwind ()
-        | _ -> ()
-      in
-      unwind ();
-      let path =
-        match !stack with
-        | [] -> frame_of s
-        | parent :: _ ->
-            parent.self <- parent.self -. s.dur;
-            parent.path ^ ";" ^ frame_of s
-      in
-      stack := { path; end_ts = s_end; self = s.dur } :: !stack)
+      while
+        !top >= 0
+        &&
+        let e = get !top 0 in
+        s_end > e +. eps_for e
+      do
+        pop ()
+      done;
+      if !top >= 0 then set !top 1 (get !top 1 -. s.dur);
+      let id = stack !top (frame s) in
+      set id 0 s_end;
+      set id 1 s.dur;
+      top := id)
     spans;
-  while !stack <> [] do
+  while !top >= 0 do
     pop ()
   done;
+  let m = Hashtbl.length stack_ids in
+  let text = Array.make (Hashtbl.length text_ids) "" in
+  Hashtbl.iter (fun t f -> text.(f) <- t) text_ids;
+  let path = Array.make m "" in
+  Hashtbl.iter (fun key id -> path.(id) <- text.(key mod n)) stack_ids;
+  (* Each id's path is its parent's path plus its frame, built root
+     first: ids are numbered in creation order, so a parent always has
+     the smaller id. *)
   let prefix = match root with None -> "" | Some r -> frame_escape r ^ ";" in
-  Hashtbl.fold (fun path r acc -> (prefix ^ path, !r) :: acc) out []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let rows = ref [] in
+  for id = 0 to m - 1 do
+    let p = !parent.(id) in
+    path.(id) <- (if p < 0 then prefix else path.(p) ^ ";") ^ path.(id);
+    let self = get id 2 in
+    if self > 0. then rows := (path.(id), self) :: !rows
+  done;
+  List.sort (fun (a, _) (b, _) -> String.compare a b) !rows
 
 let to_folded tracks =
-  let buf = Buffer.create 4096 in
   let rows =
     List.concat_map (fun (name, evs) -> fold ~root:name evs) tracks
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  List.iter
-    (fun (path, self) ->
-      (* Collapsed-stack counts are integers; ours are nanoseconds of
-         self-time.  Sub-nanosecond residue rounds away. *)
-      if self >= 0.5 then Printf.bprintf buf "%s %.0f\n" path self)
-    rows;
-  Buffer.contents buf
+  Writer.render (fun w ->
+      List.iter
+        (fun (path, self) ->
+          (* Collapsed-stack counts are integers; ours are nanoseconds
+             of self-time.  Sub-nanosecond residue rounds away. *)
+          if self >= 0.5 then begin
+            Writer.string w path;
+            Writer.char w ' ';
+            Writer.fixed w 0 self;
+            Writer.char w '\n'
+          end)
+        rows)
 
 (* ---------------- Rescaling sampled aggregates ---------------- *)
 
@@ -247,22 +297,9 @@ type open_attr = {
 }
 
 let attribute evs =
-  let spans =
-    List.filter (fun (ev : Trace.event) -> ev.kind = Trace.Span && ev.dur > 0.) evs
-  in
   (* Same canonical order and nesting rule as [fold], so the two views
      of a trace never disagree about parenthood. *)
-  let spans =
-    List.stable_sort
-      (fun (a : Trace.event) (b : Trace.event) ->
-        match compare a.ts b.ts with
-        | 0 -> (
-            match compare b.dur a.dur with
-            | 0 -> compare (a.cat, a.name) (b.cat, b.name)
-            | c -> c)
-        | c -> c)
-      spans
-  in
+  let spans = sorted_spans evs in
   let accs = ref [] in
   let unattributed = ref 0. in
   let total_self = ref 0. in
@@ -284,8 +321,7 @@ let attribute evs =
         | None, None -> unattributed := !unattributed +. top.oa_self);
         stack := rest
   in
-  let eps_for x = (1e-9 *. Float.abs x) +. 1e-6 in
-  List.iter
+  Array.iter
     (fun (s : Trace.event) ->
       let s_end = s.ts +. s.dur in
       let rec unwind () =

@@ -284,6 +284,51 @@ let same_bytes ~what expected got =
 
 (* ---------------- writer properties ---------------- *)
 
+(* Values at the edge of the integer fast path: 2^52 / 10^d, one ulp
+   either side, for each precision. *)
+let fast_path_edges =
+  List.concat_map
+    (fun d ->
+      let x = 0x1p52 /. Float.pow 10. (float_of_int d) in
+      [ (d, Float.pred x); (d, x); (d, Float.succ x) ])
+    [ 0; 3; 6 ]
+
+let fixed_matches (d, x) =
+  let want =
+    match d with
+    | 0 -> Printf.sprintf "%.0f" x
+    | 3 -> Printf.sprintf "%.3f" x
+    | _ -> Printf.sprintf "%.6f" x
+  in
+  let got = Xc_trace.Writer.fixed_to_string d x in
+  String.equal want got
+  || QCheck.Test.fail_reportf "%%.%df of %h: printf %S, writer %S" d x want got
+
+let fixed_prop =
+  QCheck.Test.make ~name:"Writer.fixed = Printf %.<d>f" ~count:20_000
+    (QCheck.make
+       ~print:(fun (d, x) -> Printf.sprintf "d=%d x=%h" d x)
+       QCheck.Gen.(pair (oneofl [ 0; 3; 6 ]) gen_float))
+    fixed_matches
+
+let test_fixed_cases () =
+  List.iter
+    (fun c -> ignore (fixed_matches c))
+    (fast_path_edges
+    @ List.concat_map
+        (fun d ->
+          List.map
+            (fun x -> (d, x))
+            [ 0.; -0.; -1e-9; -1.; -0.5; 0.5; 1.5; 2.5; 1. /. 128.; 3. /. 128.;
+              0.0005; 0.0015; 0.0000005; 0.0000015; 1e-300; 5e-324; 1e15;
+              1e20; Float.nan; -.Float.nan; Float.infinity;
+              Float.neg_infinity; max_float ])
+        [ 0; 3; 6 ]);
+  Alcotest.(check string) "-1e-9 keeps its sign" "-0.000000"
+    (Xc_trace.Writer.fixed_to_string 6 (-1e-9));
+  Alcotest.(check string) "exact dyadic tie to even" "0.008"
+    (Xc_trace.Writer.fixed_to_string 3 (1. /. 128.))
+
 let chrome_prop =
   QCheck.Test.make ~name:"to_chrome = Printf reference" ~count:400
     (QCheck.pair (arb_tracks gen_event) QCheck.small_nat)
@@ -394,8 +439,9 @@ let artifact_truncation_prop =
 let suites =
   [
     ( "trace.writers",
-      List.map QCheck_alcotest.to_alcotest
-        [ chrome_prop; csv_prop; fold_prop; tails_prop ] );
+      Alcotest.test_case "fixed-point edge cases" `Quick test_fixed_cases
+      :: List.map QCheck_alcotest.to_alcotest
+           [ fixed_prop; chrome_prop; csv_prop; fold_prop; tails_prop ] );
     ( "trace.parse-fuzz",
       List.map QCheck_alcotest.to_alcotest
         [ events_fuzz_prop; artifact_truncation_prop ] );
