@@ -152,17 +152,14 @@ let hist_observe ~cat ~name v =
 
 (* ---------------- Snapshots ---------------- *)
 
+let dist_ps = [| 50.; 99.; 100. |]
+
 let view = function
   | Counter_v r -> Count !r
   | Gauge_v r -> Level !r
   | Dist_v h ->
-      Dist
-        {
-          n = Histogram.count h;
-          p50 = Histogram.percentile h 50.;
-          p99 = Histogram.percentile h 99.;
-          max_ = Histogram.percentile h 100.;
-        }
+      let q = Histogram.percentiles h dist_ps in
+      Dist { n = Histogram.count h; p50 = q.(0); p99 = q.(1); max_ = q.(2) }
 
 let snapshot_of_reg reg ~at =
   (* Sorted by key: Hashtbl iteration order must never leak into the

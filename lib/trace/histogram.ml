@@ -57,13 +57,15 @@ let floor_of_bucket i =
     base *. (1.0 +. (float_of_int sub /. float_of_int sub_buckets))
   end
 
+(* The 1-based rank of percentile [p] among [t.count >= 1] samples. *)
+let rank t p =
+  let r = int_of_float (Float.round (p /. 100. *. float_of_int t.count)) in
+  Stdlib.max 1 (Stdlib.min t.count r)
+
 let percentile_bucket t p =
   if t.count = 0 then n_buckets - 1
   else begin
-    let rank =
-      int_of_float (Float.round (p /. 100. *. float_of_int t.count))
-    in
-    let rank = Stdlib.max 1 (Stdlib.min t.count rank) in
+    let rank = rank t p in
     let rec scan i seen =
       if i >= n_buckets then n_buckets - 1
       else begin
@@ -76,6 +78,28 @@ let percentile_bucket t p =
 
 let percentile t p =
   if t.count = 0 then 0. else value_of_bucket (percentile_bucket t p)
+
+(* One scan serves every rank: ranks are non-decreasing in [p], so the
+   bucket holding rank [j+1] is at or after the one holding rank [j]. *)
+let percentiles t ps =
+  let k = Array.length ps in
+  for j = 1 to k - 1 do
+    if not (ps.(j - 1) <= ps.(j)) then
+      invalid_arg "Histogram.percentiles: not ascending"
+  done;
+  let out = Array.make k 0. in
+  if t.count > 0 then begin
+    let i = ref (-1) and seen = ref 0 in
+    for j = 0 to k - 1 do
+      let r = rank t ps.(j) in
+      while !seen < r do
+        incr i;
+        seen := !seen + t.buckets.(!i)
+      done;
+      out.(j) <- value_of_bucket !i
+    done
+  end;
+  out
 
 let percentile_floor t p =
   if t.count = 0 then 0. else floor_of_bucket (percentile_bucket t p)

@@ -208,6 +208,42 @@ let qcheck_merge_commutative =
       let ha = hist_of_samples a and hb = hist_of_samples b in
       H.equal (H.merge ha hb) (H.merge hb ha))
 
+(* QCheck: the one-scan [percentiles] is three [percentile] calls bit
+   for bit — on empty, single-sample and random histograms, with
+   ascending percentiles drawn from the whole [0, 100] range (ties and
+   the p0/p100 ends included). *)
+let qcheck_percentiles_one_scan =
+  let open QCheck in
+  let samples =
+    Gen.(
+      frequency
+        [
+          (1, pure []);
+          (1, map (fun x -> [ x ]) (float_bound_inclusive 1e9));
+          (4, list_size (int_range 2 300) (float_bound_inclusive 1e9));
+        ])
+  in
+  let ps =
+    Gen.(
+      map
+        (fun l -> Array.of_list (List.sort compare l))
+        (list_size (int_range 0 5)
+           (frequency
+              [ (3, float_bound_inclusive 100.); (1, oneofl [ 0.; 50.; 99.; 100. ]) ])))
+  in
+  Test.make ~count:300 ~name:"Histogram.percentiles = percentile, bit for bit"
+    (make
+       ~print:(fun (l, ps) ->
+         Printf.sprintf "%d samples, ps [%s]" (List.length l)
+           (String.concat "; " (Array.to_list (Array.map string_of_float ps))))
+       (Gen.pair samples ps))
+    (fun (l, ps) ->
+      let h = H.of_samples l in
+      let want = Array.map (H.percentile h) ps in
+      Array.for_all2
+        (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+        want (H.percentiles h ps))
+
 (* QCheck: however a stream of samples is partitioned across capture
    groups, injecting the captures yields the same merged histogram —
    the "snapshot merge is associative across domains" property. *)
@@ -273,6 +309,7 @@ let suites =
           `Quick test_parallel_jobs_deterministic;
         QCheck_alcotest.to_alcotest qcheck_merge_associative;
         QCheck_alcotest.to_alcotest qcheck_merge_commutative;
+        QCheck_alcotest.to_alcotest qcheck_percentiles_one_scan;
         QCheck_alcotest.to_alcotest qcheck_capture_partition;
       ] );
   ]
