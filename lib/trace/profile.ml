@@ -35,7 +35,11 @@ let sorted_spans evs =
     spans;
   spans
 
-let eps_for x = (1e-9 *. Float.abs x) +. 1e-6
+let[@inline] eps_for x = (1e-9 *. Float.abs x) +. 1e-6
+
+(* Float cells of [fold]'s stack ids, three per id. *)
+let[@inline] cell c id k = Float.Array.get c ((3 * id) + k)
+let[@inline] set_cell c id k v = Float.Array.set c ((3 * id) + k) v
 
 let fold ?root evs =
   let spans = sorted_spans evs in
@@ -60,13 +64,13 @@ let fold ?root evs =
         Hashtbl.add frame_ids (s.cat, s.name) f;
         f
   in
-  (* Stack ids are call-tree nodes keyed by (parent id, frame id).  The
-     open spans form one chain of distinct ids, so an open span lives
-     in its id's cells: [3id] its end, [3id+1] the self-time it still
-     owns (children subtract from it as they are discovered), [3id+2]
-     the self-time summed over its closed spans, in pop order. *)
+  (* Stack ids are call-tree nodes keyed by (parent id, frame id); id
+     [i] owns cells [3i] (end of its open span), [3i+1] (self-time that
+     span still owns: children subtract from it as they are
+     discovered) and [3i+2] (self-time summed over its closed spans, in
+     pop order).  The open spans are a chain of distinct ids. *)
   let stack_ids : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let parent = ref [||] and cells = ref (Float.Array.create 0) in
+  let cells = ref (Float.Array.create 0) in
   let stack parent_id f =
     let key = ((parent_id + 1) * n) + f in
     match Hashtbl.find stack_ids key with
@@ -74,61 +78,61 @@ let fold ?root evs =
     | exception Not_found ->
         let id = Hashtbl.length stack_ids in
         Hashtbl.add stack_ids key id;
-        if id = Array.length !parent then begin
-          let cap = max 16 (2 * id) in
-          parent := Array.append !parent (Array.make (cap - id) 0);
-          let c = Float.Array.make (3 * cap) 0. in
+        if 3 * id = Float.Array.length !cells then begin
+          let c = Float.Array.make ((6 * id) + 48) 0. in
           Float.Array.blit !cells 0 c 0 (3 * id);
           cells := c
         end;
-        !parent.(id) <- parent_id;
         id
   in
-  let get id k = Float.Array.get !cells ((3 * id) + k) in
-  let set id k v = Float.Array.set !cells ((3 * id) + k) v in
-  let top = ref (-1) in
-  let pop () =
-    let id = !top in
-    let self = get id 1 in
-    if self > 0. then set id 2 (get id 2 +. self);
-    top := !parent.(id)
+  let opened = ref [] in
+  let pop id rest =
+    let self = cell !cells id 1 in
+    if self > 0. then set_cell !cells id 2 (cell !cells id 2 +. self);
+    opened := rest
   in
   Array.iter
     (fun (s : Trace.event) ->
       let s_end = s.ts +. s.dur in
       (* Pop anything this span does not nest inside.  Input is sorted
          by start time, so only the end boundary needs checking. *)
-      while
-        !top >= 0
-        &&
-        let e = get !top 0 in
-        s_end > e +. eps_for e
-      do
-        pop ()
+      let nested = ref false in
+      while not !nested do
+        match !opened with
+        | top :: rest when s_end > cell !cells top 0 +. eps_for (cell !cells top 0) ->
+            pop top rest
+        | _ -> nested := true
       done;
-      if !top >= 0 then set !top 1 (get !top 1 -. s.dur);
-      let id = stack !top (frame s) in
-      set id 0 s_end;
-      set id 1 s.dur;
-      top := id)
+      let parent_id =
+        match !opened with
+        | [] -> -1
+        | parent :: _ ->
+            set_cell !cells parent 1 (cell !cells parent 1 -. s.dur);
+            parent
+      in
+      let id = stack parent_id (frame s) in
+      set_cell !cells id 0 s_end;
+      set_cell !cells id 1 s.dur;
+      opened := id :: !opened)
     spans;
-  while !top >= 0 do
-    pop ()
-  done;
-  let m = Hashtbl.length stack_ids in
+  List.iter (fun id -> pop id []) !opened;
+  (* Ids are numbered in creation order, so a parent's path is built
+     before its children's. *)
   let text = Array.make (Hashtbl.length text_ids) "" in
   Hashtbl.iter (fun t f -> text.(f) <- t) text_ids;
-  let path = Array.make m "" in
-  Hashtbl.iter (fun key id -> path.(id) <- text.(key mod n)) stack_ids;
-  (* Each id's path is its parent's path plus its frame, built root
-     first: ids are numbered in creation order, so a parent always has
-     the smaller id. *)
+  let m = Hashtbl.length stack_ids in
+  let parent = Array.make m (-1) and path = Array.make m "" in
+  Hashtbl.iter
+    (fun key id ->
+      parent.(id) <- (key / n) - 1;
+      path.(id) <- text.(key mod n))
+    stack_ids;
   let prefix = match root with None -> "" | Some r -> frame_escape r ^ ";" in
   let rows = ref [] in
   for id = 0 to m - 1 do
-    let p = !parent.(id) in
+    let p = parent.(id) in
     path.(id) <- (if p < 0 then prefix else path.(p) ^ ";") ^ path.(id);
-    let self = get id 2 in
+    let self = cell !cells id 2 in
     if self > 0. then rows := (path.(id), self) :: !rows
   done;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !rows
