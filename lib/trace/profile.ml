@@ -7,8 +7,8 @@ let fmt_ns ns =
 
 (* Collapsed-stack frames are separated by ';' and stacks end at the
    first ' ', so neither may appear inside a frame. *)
-let frame_char c = match c with ';' -> ':' | ' ' -> '_' | _ -> c
-let frame_escape s = String.map frame_char s
+let frame_escape s =
+  String.map (fun c -> match c with ';' -> ':' | ' ' -> '_' | _ -> c) s
 
 (* ---------------- Folding span timelines into stacks ---------------- *)
 

@@ -93,5 +93,3 @@ let fixed w d x =
     char w '.';
     digits w (n mod q) d
   end
-
-let fixed_to_string d x = render (fun w -> fixed w d x)

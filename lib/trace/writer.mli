@@ -29,6 +29,3 @@ val fixed : t -> int -> float -> unit
     infinities, large magnitudes) goes through [caml_format_float],
     the primitive [Printf] itself uses.
     @raise Invalid_argument for another [d]. *)
-
-val fixed_to_string : int -> float -> string
-(** {!fixed} on its own, for tests against [Printf]. *)

@@ -293,6 +293,9 @@ let fast_path_edges =
       [ (d, Float.pred x); (d, x); (d, Float.succ x) ])
     [ 0; 3; 6 ]
 
+let fixed_to_string d x =
+  Xc_trace.Writer.render (fun w -> Xc_trace.Writer.fixed w d x)
+
 let fixed_matches (d, x) =
   let want =
     match d with
@@ -300,7 +303,7 @@ let fixed_matches (d, x) =
     | 3 -> Printf.sprintf "%.3f" x
     | _ -> Printf.sprintf "%.6f" x
   in
-  let got = Xc_trace.Writer.fixed_to_string d x in
+  let got = fixed_to_string d x in
   String.equal want got
   || QCheck.Test.fail_reportf "%%.%df of %h: printf %S, writer %S" d x want got
 
@@ -325,9 +328,9 @@ let test_fixed_cases () =
               Float.neg_infinity; max_float ])
         [ 0; 3; 6 ]);
   Alcotest.(check string) "-1e-9 keeps its sign" "-0.000000"
-    (Xc_trace.Writer.fixed_to_string 6 (-1e-9));
+    (fixed_to_string 6 (-1e-9));
   Alcotest.(check string) "exact dyadic tie to even" "0.008"
-    (Xc_trace.Writer.fixed_to_string 3 (1. /. 128.))
+    (fixed_to_string 3 (1. /. 128.))
 
 let chrome_prop =
   QCheck.Test.make ~name:"to_chrome = Printf reference" ~count:400
