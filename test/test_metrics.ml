@@ -288,6 +288,229 @@ let qcheck_capture_partition =
       | [], [] -> samples = []
       | _ -> samples = [])
 
+(* ---------------- Reference: the per-boundary loop ---------------- *)
+
+(* The registry as it was first written: one full snapshot (a sorted
+   fold of every metric, histograms rescanned) per interval boundary a
+   clock jump crosses, pushed one at a time through the retention
+   bound.  Slow and obviously right; the registry must leave exactly
+   the snapshots and drop count this loop leaves. *)
+module Naive = struct
+  type metric = C of float ref | G of float ref | D of H.t
+
+  type t = {
+    tbl : (string, metric) Hashtbl.t;
+    snaps : (float * (string * M.sample) list) Queue.t;
+    mutable dropped : int;
+    dt : float;
+    retention : int;
+  }
+
+  let create ~dt ~retention =
+    { tbl = Hashtbl.create 8; snaps = Queue.create (); dropped = 0; dt; retention }
+
+  let view = function
+    | C r -> M.Count !r
+    | G r -> M.Level !r
+    | D h ->
+        let q = H.percentiles h [| 50.; 99.; 100. |] in
+        M.Dist { M.n = H.count h; p50 = q.(0); p99 = q.(1); max_ = q.(2) }
+
+  let snapshot t ~at =
+    let values =
+      Hashtbl.fold (fun k m acc -> (k, view m) :: acc) t.tbl []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    in
+    Queue.push (at, values) t.snaps;
+    while Queue.length t.snaps > t.retention do
+      ignore (Queue.pop t.snaps);
+      t.dropped <- t.dropped + 1
+    done
+
+  let sample_boundaries t ~from ~until =
+    if until > from then begin
+      let k = ref (Float.floor (from /. t.dt) +. 1.) in
+      let k1 = Float.floor (until /. t.dt) in
+      while !k <= k1 do
+        snapshot t ~at:(!k *. t.dt);
+        k := !k +. 1.
+      done
+    end
+
+  let find t k mk = match Hashtbl.find_opt t.tbl k with
+    | Some m -> m
+    | None -> let m = mk () in Hashtbl.add t.tbl k m; m
+
+  let counter_add t k v =
+    match find t k (fun () -> C (ref 0.)) with C r -> r := !r +. v | _ -> assert false
+
+  let gauge_set t k v =
+    match find t k (fun () -> G (ref 0.)) with G r -> r := v | _ -> assert false
+
+  let gauge_add t k v =
+    match find t k (fun () -> G (ref 0.)) with G r -> r := !r +. v | _ -> assert false
+
+  let observe t k v =
+    match find t k (fun () -> D (H.create ())) with D h -> H.add h v | _ -> assert false
+end
+
+(* One step of a telemetry workload: an emit on one of a few fixed
+   keys, an explicit snapshot, or a clock jump to [nb] boundaries past
+   the current interval plus a fraction [frac] of the next one. *)
+type op =
+  | Add of int * float
+  | Set of int * float
+  | Inc of int * float
+  | Obs of int * float
+  | Snap
+  | Jump of int * float
+
+let counter_keys = [| ("cpu", "busy-ns"); ("net", "messages") |]
+let gauge_keys = [| ("os", "runqueue"); ("net", "in-flight") |]
+let dist_keys = [| ("platform", "latency-ns") |]
+let join (c, n) = c ^ "/" ^ n
+
+let apply_naive t clock = function
+  | Add (i, v) -> Naive.counter_add t (join counter_keys.(i)) v
+  | Set (i, v) -> Naive.gauge_set t (join gauge_keys.(i)) v
+  | Inc (i, v) -> Naive.gauge_add t (join gauge_keys.(i)) v
+  | Obs (i, v) -> Naive.observe t (join dist_keys.(i)) v
+  | Snap -> Naive.snapshot t ~at:!clock
+  | Jump (nb, frac) ->
+      let until = (Float.floor (!clock /. t.Naive.dt) +. float_of_int nb +. frac) *. t.Naive.dt in
+      Naive.sample_boundaries t ~from:!clock ~until;
+      if until > !clock then clock := until
+
+let apply_registry ~dt clock = function
+  | Add (i, v) ->
+      let cat, name = counter_keys.(i) in
+      M.counter_add ~cat ~name v
+  | Set (i, v) ->
+      let cat, name = gauge_keys.(i) in
+      M.gauge_set ~cat ~name v
+  | Inc (i, v) ->
+      let cat, name = gauge_keys.(i) in
+      M.gauge_add ~cat ~name v
+  | Obs (i, v) ->
+      let cat, name = dist_keys.(i) in
+      M.hist_observe ~cat ~name v
+  | Snap -> M.take_snapshot ~at:!clock
+  | Jump (nb, frac) ->
+      let until = (Float.floor (!clock /. dt) +. float_of_int nb +. frac) *. dt in
+      M.sample_boundaries ~from:!clock ~until;
+      if until > !clock then clock := until
+
+let values (s : M.snapshot) = s.M.values
+
+(* Bit-level equality: the artifacts print these floats, so -0. and 0.
+   (or two NaNs) must not pass for one another by accident. *)
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_sample a b =
+  match (a, b) with
+  | M.Count x, M.Count y | M.Level x, M.Level y -> same_float x y
+  | M.Dist x, M.Dist y ->
+      x.M.n = y.M.n && same_float x.M.p50 y.M.p50 && same_float x.M.p99 y.M.p99
+      && same_float x.M.max_ y.M.max_
+  | _ -> false
+
+let agrees_with_naive ~dt ~retention ops =
+  let naive = Naive.create ~dt ~retention in
+  let c = ref 0. in
+  List.iter (apply_naive naive c) ops;
+  M.enable ~interval_ns:dt ~retention ();
+  M.reset_registry ();
+  let tel =
+    Fun.protect ~finally:M.disable (fun () ->
+        let c = ref 0. in
+        List.iter (apply_registry ~dt c) ops;
+        M.read ())
+  in
+  let want = List.of_seq (Queue.to_seq naive.snaps) in
+  tel.M.snap_dropped = naive.dropped
+  && List.length tel.M.snapshots = List.length want
+  && List.for_all2
+       (fun (s : M.snapshot) (at, vs) ->
+         same_float s.M.at at
+         && List.length (values s) = List.length vs
+         && List.for_all2
+              (fun (k, a) (k', b) -> String.equal k k' && same_sample a b)
+              (values s) vs)
+       tel.M.snapshots want
+
+let gen_case =
+  let open QCheck.Gen in
+  let* retention = frequency [ (2, pure 1); (1, pure 2); (3, int_range 1 12) ] in
+  let* dt = oneof [ pure 1.; pure 1000.; float_range 1. 5e4 ] in
+  (* Jumps of exactly [retention] and [retention + 1] boundaries are
+     where a skip-ahead can go wrong, so they are drawn often. *)
+  let jump =
+    let* nb =
+      frequency
+        [
+          (2, pure 0);
+          (2, pure 1);
+          (3, pure retention);
+          (3, pure (retention + 1));
+          (2, int_range 0 (3 * retention + 3));
+        ]
+    in
+    let* frac = oneof [ pure 0.; pure 0.5; float_bound_exclusive 1. ] in
+    pure (Jump (nb, frac))
+  in
+  let value = oneof [ pure 0.; pure (-0.); pure 1.; float_range (-1e3) 1e6 ] in
+  let op =
+    frequency
+      [
+        (3, map2 (fun i v -> Add (i, v)) (int_bound 1) value);
+        (2, map2 (fun i v -> Set (i, v)) (int_bound 1) value);
+        (2, map2 (fun i v -> Inc (i, v)) (int_bound 1) value);
+        (2, map (fun v -> Obs (0, Float.abs v +. 1.)) value);
+        (1, pure Snap);
+        (5, jump);
+      ]
+  in
+  let* ops = list_size (int_range 0 40) op in
+  pure (dt, retention, ops)
+
+let print_case (dt, retention, ops) =
+  let op = function
+    | Add (i, v) -> Printf.sprintf "add %d %h" i v
+    | Set (i, v) -> Printf.sprintf "set %d %h" i v
+    | Inc (i, v) -> Printf.sprintf "inc %d %h" i v
+    | Obs (i, v) -> Printf.sprintf "obs %d %h" i v
+    | Snap -> "snap"
+    | Jump (nb, f) -> Printf.sprintf "jump %d+%h" nb f
+  in
+  Printf.sprintf "dt %h retention %d: %s" dt retention
+    (String.concat "; " (List.map op ops))
+
+let qcheck_matches_naive_loop =
+  QCheck.Test.make ~count:400
+    ~name:"Metrics snapshots = the per-boundary reference loop"
+    (QCheck.make ~print:print_case gen_case)
+    (fun (dt, retention, ops) -> agrees_with_naive ~dt ~retention ops)
+
+(* The edges the property draws often, pinned: retention 1, and jumps
+   of exactly [retention] and [retention + 1] boundaries, with and
+   without emits between them. *)
+let test_naive_edges () =
+  List.iter
+    (fun retention ->
+      List.iter
+        (fun ops ->
+          if not (agrees_with_naive ~dt:1000. ~retention ops) then
+            Alcotest.failf "retention %d: %s" retention
+              (print_case (1000., retention, ops)))
+        [
+          [ Add (0, 1.); Jump (retention, 0.) ];
+          [ Add (0, 1.); Jump (retention + 1, 0.5) ];
+          [ Add (0, 1.); Jump (retention, 0.); Jump (retention + 1, 0.) ];
+          [ Add (0, 1.); Jump (retention, 0.); Add (0, 1.); Jump (retention + 1, 0.) ];
+          [ Obs (0, 5.); Jump (1, 0.); Obs (0, 7.); Jump (retention + 1, 0.25); Snap ];
+        ])
+    [ 1; 2; 3; 8 ]
+
 let suites =
   [
     ( "metrics",
@@ -311,5 +534,8 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_merge_commutative;
         QCheck_alcotest.to_alcotest qcheck_percentiles_one_scan;
         QCheck_alcotest.to_alcotest qcheck_capture_partition;
+        Alcotest.test_case "reference loop: retention edges" `Quick
+          test_naive_edges;
+        QCheck_alcotest.to_alcotest qcheck_matches_naive_loop;
       ] );
   ]
