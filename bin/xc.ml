@@ -1198,7 +1198,7 @@ let top_cmd =
                 match v with
                 | M.Level x -> Some (Printf.sprintf "%s=%g" k x)
                 | _ -> None)
-              s.M.values
+              (M.values s)
           in
           Printf.printf "snapshot @%11.3fms  %s\n" (s.M.at /. 1e6)
             (String.concat "  " gauges))
@@ -1215,7 +1215,7 @@ let top_cmd =
         | Some w ->
             let base = List.nth snaps (Stdlib.max 0 (n - 1 - w)) in
             let value_at (s : M.snapshot) =
-              match List.assoc_opt key s.M.values with
+              match M.find s key with
               | Some (M.Count x) -> x
               | _ -> 0.
             in
@@ -1240,7 +1240,7 @@ let top_cmd =
           let raw =
             List.map
               (fun (s : M.snapshot) ->
-                match List.assoc_opt key s.M.values with
+                match M.find s key with
                 | Some v -> extract v
                 | None -> 0.)
               win
@@ -1271,7 +1271,7 @@ let top_cmd =
           Printf.printf "  %-30s %-8s %14.1f  |%s|%s\n" key kind lastv
             (sparkline series)
             (if fired_key key then " !" else ""))
-        latest.M.values
+        (M.values latest)
     end;
     if alert_rules <> [] then begin
       print_newline ();

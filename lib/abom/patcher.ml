@@ -26,6 +26,8 @@ type t = {
 let create table = { table; cmpxchg_ops = 0; counts = Hashtbl.create 8 }
 let table t = t.table
 
+let abom_patch_attempts = Xc_sim.Metrics.counter ~cat:"abom" ~name:"patch-attempts"
+
 let count t outcome =
   let cell =
     match Hashtbl.find_opt t.counts outcome with
@@ -36,7 +38,7 @@ let count t outcome =
         r
   in
   incr cell;
-  Xc_sim.Metrics.counter_incr ~cat:"abom" ~name:"patch-attempts";
+  Xc_sim.Metrics.counter_incr abom_patch_attempts;
   if Xc_trace.Trace.enabled () then
     Xc_trace.Trace.instant ~cat:"abom" ~name:(outcome_to_string outcome) ()
 

@@ -47,6 +47,8 @@ let parse_request raw =
   | "GET" :: path :: _ -> Ok path
   | _ -> Error ()
 
+let app_requests = Xc_sim.Metrics.counter ~cat:"app" ~name:"requests"
+
 let serve_one t conn =
   let reply s =
     charge t (Kernel.Socket_send (String.length s));
@@ -70,7 +72,7 @@ let serve_one t conn =
         end
     end);
   t.served <- t.served + 1;
-  Xc_sim.Metrics.counter_incr ~cat:"app" ~name:"requests";
+  Xc_sim.Metrics.counter_incr app_requests;
   charge t (Kernel.Cheap Xc_os.Syscall_nr.Close);
   Socket.close conn
 

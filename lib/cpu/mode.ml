@@ -23,8 +23,10 @@ let switch_names =
 
 let switch_name ~from_ ~to_ = switch_names.(index from_).(index to_)
 
+let cpu_mode_switches = Xc_sim.Metrics.counter ~cat:"cpu" ~name:"mode-switches"
+
 let record_switch ?at ~from_ ~to_ () =
-  Xc_sim.Metrics.counter_incr ~cat:"cpu" ~name:"mode-switches";
+  Xc_sim.Metrics.counter_incr cpu_mode_switches;
   if Xc_trace.Trace.enabled () then
     Xc_trace.Trace.instant ?at ~cat:"mode-switch"
       ~name:(switch_name ~from_ ~to_) ()

@@ -54,8 +54,11 @@ let pick_next t ~pcpu:_ =
     Some (List.nth pool idx).vcpu
   end
 
+let hypervisor_credit_slices =
+  Xc_sim.Metrics.counter ~cat:"hypervisor" ~name:"credit-slices"
+
 let run_slice _t vcpu ~ns =
-  Xc_sim.Metrics.counter_incr ~cat:"hypervisor" ~name:"credit-slices";
+  Xc_sim.Metrics.counter_incr hypervisor_credit_slices;
   if Xc_trace.Trace.enabled () then
     Xc_trace.Trace.span ~cat:"sched.credit" ~name:"slice" ns;
   Vcpu.add_runtime vcpu ns;

@@ -14,11 +14,14 @@ let delivery t = t.delivery
 let bind t ~port = Hashtbl.replace t.bound port ()
 let is_bound t ~port = Hashtbl.mem t.bound port
 
+let hypervisor_evtchn_backlog =
+  Xc_sim.Metrics.gauge ~cat:"hypervisor" ~name:"evtchn-backlog"
+
 let notify t ~port =
   if not (is_bound t ~port) then invalid_arg "Event_channel.notify: unbound port";
   if not (List.mem port t.pending) then t.pending <- port :: t.pending;
   if Xc_sim.Metrics.on () then
-    Xc_sim.Metrics.gauge_set ~cat:"hypervisor" ~name:"evtchn-backlog"
+    Xc_sim.Metrics.gauge_set hypervisor_evtchn_backlog
       (float_of_int (List.length t.pending));
   (* Sender marks the shared pending bitmap; cost is a cache-line write
      plus, for hypervisor delivery, the notifying hypercall. *)
@@ -38,13 +41,16 @@ let notify t ~port =
 
 let pending t = List.sort compare t.pending
 
+let hypervisor_evtchn_delivered =
+  Xc_sim.Metrics.counter ~cat:"hypervisor" ~name:"evtchn-delivered"
+
 let deliver_pending t handler =
   let ports = pending t in
   t.pending <- [];
   if ports <> [] then begin
-    Xc_sim.Metrics.counter_add ~cat:"hypervisor" ~name:"evtchn-delivered"
+    Xc_sim.Metrics.counter_add hypervisor_evtchn_delivered
       (float_of_int (List.length ports));
-    Xc_sim.Metrics.gauge_set ~cat:"hypervisor" ~name:"evtchn-backlog" 0.
+    Xc_sim.Metrics.gauge_set hypervisor_evtchn_backlog 0.
   end;
   let per_event =
     match t.delivery with

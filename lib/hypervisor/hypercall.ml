@@ -58,12 +58,14 @@ type t = (kind, int ref) Hashtbl.t
 
 let create () : t = Hashtbl.create 16
 
+let hypervisor_hypercalls = Xc_sim.Metrics.counter ~cat:"hypervisor" ~name:"hypercalls"
+
 let invoke t kind =
   (match Hashtbl.find_opt t kind with
   | Some r -> incr r
   | None -> Hashtbl.add t kind (ref 1));
   let ns = cost_ns kind in
-  Xc_sim.Metrics.counter_incr ~cat:"hypervisor" ~name:"hypercalls";
+  Xc_sim.Metrics.counter_incr hypervisor_hypercalls;
   if Xc_trace.Trace.enabled () then begin
     Xc_trace.Trace.span ~cat:"hypercall" ~name:(name kind) ns;
     (* A hypercall is a guest-kernel <-> hypervisor round trip. *)

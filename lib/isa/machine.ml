@@ -271,6 +271,8 @@ let step t : exit_reason option =
 
 let step_once t = try step t with Fault_exn msg -> Some (Fault msg)
 
+let isa_instructions = Xc_sim.Metrics.counter ~cat:"isa" ~name:"instructions"
+
 let run ?(fuel = 1_000_000) t =
   let before = t.steps in
   let rec go remaining =
@@ -287,8 +289,7 @@ let run ?(fuel = 1_000_000) t =
        report real event counts, and to the telemetry registry. *)
     let executed = t.steps - before in
     Xc_sim.Engine.add_domain_events executed;
-    Xc_sim.Metrics.counter_add ~cat:"isa" ~name:"instructions"
-      (float_of_int executed);
+    Xc_sim.Metrics.counter_add isa_instructions (float_of_int executed);
     reason
   in
   match go fuel with

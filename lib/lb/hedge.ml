@@ -69,6 +69,10 @@ type clone = { backend : int; mutable work : float; set : set }
 
 and set = { x : float; sent_at : float; measured : bool }
 
+let lb_clones_cancelled = Metrics.counter ~cat:"lb" ~name:"clones-cancelled"
+let lb_clones_spawned = Metrics.counter ~cat:"lb" ~name:"clones-spawned"
+let lb_requests = Metrics.counter ~cat:"lb" ~name:"requests"
+
 let run config =
   let n = config.backends and d = config.clones in
   if n <= 0 then invalid_arg "Xc_lb.Hedge.run: no backends";
@@ -174,8 +178,8 @@ let run config =
       targets;
     clones_spawned := !clones_spawned + d;
     if Metrics.on () then begin
-      Metrics.counter_incr ~cat:"lb" ~name:"requests";
-      Metrics.counter_add ~cat:"lb" ~name:"clones-spawned" (float_of_int d)
+      Metrics.counter_incr lb_requests;
+      Metrics.counter_add lb_clones_spawned (float_of_int d)
     end
   in
   let complete t (winner : clone) =
@@ -210,8 +214,7 @@ let run config =
       end
     done;
     if Metrics.on () && d > 1 then
-      Metrics.counter_add ~cat:"lb" ~name:"clones-cancelled"
-        (float_of_int (d - 1))
+      Metrics.counter_add lb_clones_cancelled (float_of_int (d - 1))
   in
   let rec loop () =
     let comp = next_completion () in

@@ -46,6 +46,8 @@ let evict_one t =
     match !victim with Some vpn -> Hashtbl.remove t.entries vpn | None -> ()
   end
 
+let mem_tlb_misses = Xc_sim.Metrics.counter ~cat:"mem" ~name:"tlb-misses"
+
 let access t ~vpn ~global =
   if Hashtbl.mem t.entries vpn then begin
     t.hits <- t.hits + 1;
@@ -53,15 +55,17 @@ let access t ~vpn ~global =
   end
   else begin
     t.misses <- t.misses + 1;
-    Xc_sim.Metrics.counter_incr ~cat:"mem" ~name:"tlb-misses";
+    Xc_sim.Metrics.counter_incr mem_tlb_misses;
     if Hashtbl.length t.entries >= t.capacity then evict_one t;
     Hashtbl.replace t.entries vpn global;
     `Miss
   end
 
+let mem_tlb_flushes = Xc_sim.Metrics.counter ~cat:"mem" ~name:"tlb-flushes"
+
 let switch_cr3 t =
   t.cr3_switches <- t.cr3_switches + 1;
-  Xc_sim.Metrics.counter_incr ~cat:"mem" ~name:"tlb-flushes";
+  Xc_sim.Metrics.counter_incr mem_tlb_flushes;
   let non_global =
     Hashtbl.fold (fun vpn global acc -> if global then acc else vpn :: acc) t.entries []
   in
@@ -69,7 +73,7 @@ let switch_cr3 t =
 
 let flush_all t =
   t.full_flushes <- t.full_flushes + 1;
-  Xc_sim.Metrics.counter_incr ~cat:"mem" ~name:"tlb-flushes";
+  Xc_sim.Metrics.counter_incr mem_tlb_flushes;
   Hashtbl.reset t.entries
 
 let flush_page t ~vpn = Hashtbl.remove t.entries vpn

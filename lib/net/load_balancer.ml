@@ -18,6 +18,8 @@ let response_via_balancer = function
    writes, closes) plus user-space event-loop and header-parsing work. *)
 let haproxy_syscalls = 14.
 
+let net_lb_requests = Xc_sim.Metrics.counter ~cat:"net" ~name:"lb-requests"
+
 let balancer_cost_ns mode ~syscall_entry_ns ~request_bytes ~response_bytes =
   let copy_cost n = 0.05 *. float_of_int n in
   let ns =
@@ -37,7 +39,7 @@ let balancer_cost_ns mode ~syscall_entry_ns ~request_bytes ~response_bytes =
            responses never come back through the balancer. *)
         1000. +. copy_cost request_bytes
   in
-  Xc_sim.Metrics.counter_incr ~cat:"net" ~name:"lb-requests";
+  Xc_sim.Metrics.counter_incr net_lb_requests;
   if Xc_trace.Trace.enabled () then
     Xc_trace.Trace.span ~cat:"net.lb" ~name:(mode_to_string mode) ns;
   ns

@@ -31,12 +31,13 @@ let path_cost_ns hops ~bytes_len =
 let packets_for ~bytes_len ~mss =
   if bytes_len <= 0 then 1 else (bytes_len + mss - 1) / mss
 
+let net_hops = Xc_sim.Metrics.counter ~cat:"net" ~name:"hops"
+
 let message_cost_ns hops ~bytes_len ~mss =
   let n = packets_for ~bytes_len ~mss in
   let per_packet_len = Stdlib.min bytes_len mss in
   if Xc_sim.Metrics.on () then
-    Xc_sim.Metrics.counter_add ~cat:"net" ~name:"hops"
-      (float_of_int (n * List.length hops));
+    Xc_sim.Metrics.counter_add net_hops (float_of_int (n * List.length hops));
   (* One span per hop covering all [n] packets, so the traced total
      equals the charged total without one event per packet. *)
   if Xc_trace.Trace.enabled () then

@@ -59,23 +59,10 @@ let segments_of tbl =
          | c -> c)
 
 let extract evs =
-  let spans =
-    List.filter (fun (ev : Trace.event) -> ev.kind = Trace.Span && ev.dur > 0.) evs
-  in
   (* The canonical order and nesting epsilon of [Profile.fold], so the
      three views of a trace (flamegraph, attribution, critical path)
      never disagree about parenthood. *)
-  let spans =
-    List.stable_sort
-      (fun (a : Trace.event) (b : Trace.event) ->
-        match compare a.ts b.ts with
-        | 0 -> (
-            match compare b.dur a.dur with
-            | 0 -> compare (a.cat, a.name) (b.cat, b.name)
-            | c -> c)
-        | c -> c)
-      spans
-  in
+  let spans = Xc_trace.Profile.sorted_spans evs in
   let accs = ref [] in
   let unattributed = ref 0. in
   let stack = ref [] in
@@ -90,7 +77,7 @@ let extract evs =
         stack := rest
   in
   let eps_for x = (1e-9 *. Float.abs x) +. 1e-6 in
-  List.iter
+  Array.iter
     (fun (s : Trace.event) ->
       let s_end = s.ts +. s.dur in
       let rec unwind () =

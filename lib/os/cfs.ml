@@ -20,8 +20,10 @@ let pick_next t =
              if Process.vruntime p < Process.vruntime best then p else best)
            first rest)
 
+let os_cfs_slices = Xc_sim.Metrics.counter ~cat:"os" ~name:"cfs-slices"
+
 let run_slice _t p ~ns =
-  Xc_sim.Metrics.counter_incr ~cat:"os" ~name:"cfs-slices";
+  Xc_sim.Metrics.counter_incr os_cfs_slices;
   if Xc_trace.Trace.enabled () then
     Xc_trace.Trace.span ~cat:"sched.cfs" ~name:"slice" ns;
   Process.add_cpu_time p ns;

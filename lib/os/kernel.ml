@@ -144,6 +144,8 @@ let op_name = function
 (* Lock traffic and TLB-shootdown IPIs only exist with SMP enabled. *)
 let smp_tax t = if t.config.smp then 30. else 0.
 
+let os_syscalls = Xc_sim.Metrics.counter ~cat:"os" ~name:"syscalls"
+
 let syscall_work_ns t op =
   let ns =
     match op with
@@ -161,16 +163,19 @@ let syscall_work_ns t op =
     | Exec_op -> exec_cost_ns t
     | Wait_op -> 150.
   in
-  Xc_sim.Metrics.counter_incr ~cat:"os" ~name:"syscalls";
+  Xc_sim.Metrics.counter_incr os_syscalls;
   if Xc_trace.Trace.enabled () then
     Xc_trace.Trace.span ~cat:Xc_trace.Mechanism.(to_string Syscall_work) ~name:(op_name op) ns;
   ns
 
+let os_ctx_switches = Xc_sim.Metrics.counter ~cat:"os" ~name:"ctx-switches"
+let os_runqueue = Xc_sim.Metrics.gauge ~cat:"os" ~name:"runqueue"
+
 let context_switch_cost_ns t =
   let runnable = Cfs.runnable_count t.scheduler in
   if Xc_sim.Metrics.on () then begin
-    Xc_sim.Metrics.counter_incr ~cat:"os" ~name:"ctx-switches";
-    Xc_sim.Metrics.gauge_set ~cat:"os" ~name:"runqueue" (float_of_int runnable)
+    Xc_sim.Metrics.counter_incr os_ctx_switches;
+    Xc_sim.Metrics.gauge_set os_runqueue (float_of_int runnable)
   end;
   let base =
     Costs.context_switch_base_ns

@@ -61,6 +61,14 @@ let validate config =
   if not (Float.is_finite config.warmup_ns && config.warmup_ns >= 0.) then
     invalid_arg "Closed_loop.run: warmup_ns must be finite and >= 0"
 
+let lb_clones_cancelled = Xc_sim.Metrics.counter ~cat:"lb" ~name:"clones-cancelled"
+let lb_clones_spawned = Xc_sim.Metrics.counter ~cat:"lb" ~name:"clones-spawned"
+let lb_requests = Xc_sim.Metrics.counter ~cat:"lb" ~name:"requests"
+let net_messages = Xc_sim.Metrics.counter ~cat:"net" ~name:"messages"
+let platform_in_flight = Xc_sim.Metrics.gauge ~cat:"platform" ~name:"in-flight"
+let platform_latency_ns = Xc_sim.Metrics.dist ~cat:"platform" ~name:"latency-ns"
+let platform_requests = Xc_sim.Metrics.counter ~cat:"platform" ~name:"requests"
+
 (* Clients live in arrays indexed by a client number [k]: server
    [k / connections], connection [k mod connections].  Every event is
    an int: [2k] is client [k]'s first send, [2k + 1] its response, and
@@ -108,6 +116,13 @@ let run_states config states =
                   ~backends:units kind,
                 Stdlib.min clones units ))
           states
+  in
+  (* The hedge row's name carries the server's clone fan-out, fixed
+     for the run: rendered once here, not per traced request. *)
+  let hedge_rows =
+    Array.map
+      (function Some (_, d) -> Printf.sprintf "clone-x%d" d | None -> "")
+      policies
   in
   let hedge_base = 2 * clients in
   let stride =
@@ -169,20 +184,18 @@ let run_states config states =
               end)
             bookings;
           if Xc_sim.Metrics.on () then begin
-            Xc_sim.Metrics.counter_incr ~cat:"lb" ~name:"requests";
-            Xc_sim.Metrics.counter_add ~cat:"lb" ~name:"clones-spawned"
-              (float_of_int d);
+            Xc_sim.Metrics.counter_incr lb_requests;
+            Xc_sim.Metrics.counter_add lb_clones_spawned (float_of_int d);
             if d > 1 then
-              Xc_sim.Metrics.counter_add ~cat:"lb" ~name:"clones-cancelled"
-                (float_of_int (d - 1))
+              Xc_sim.Metrics.counter_add lb_clones_cancelled (float_of_int (d - 1))
           end;
           start.(k) <- wstart;
           finish.(k) <- tstar;
           hedge_ns.(k) <- !hedge;
           fanout.(k) <- d);
       if Xc_sim.Metrics.on () then begin
-        Xc_sim.Metrics.gauge_add ~cat:"platform" ~name:"in-flight" 1.;
-        Xc_sim.Metrics.counter_incr ~cat:"net" ~name:"messages"
+        Xc_sim.Metrics.gauge_add platform_in_flight 1.;
+        Xc_sim.Metrics.counter_incr net_messages
       end;
       due.(k) <- finish.(k) +. half_rtt;
       Engine.schedule_int engine due.(k) ((2 * k) + 1)
@@ -245,8 +258,7 @@ let run_states config states =
         let d = Float.min (Float.max hedge_ns.(k) 1.) (budget -. !cursor) in
         if d > 0. then begin
           Xc_trace.Trace.span ~at:!cursor ~cat:"lb.hedge"
-            ~name:(Printf.sprintf "clone-x%d" fanout)
-            d;
+            ~name:hedge_rows.(k / conns) d;
           cursor := !cursor +. d
         end
       end;
@@ -259,15 +271,14 @@ let run_states config states =
   let respond engine k =
     let now = due.(k) and sent_at = sent.(k) in
     if Xc_sim.Metrics.on () then
-      Xc_sim.Metrics.gauge_add ~cat:"platform" ~name:"in-flight" (-1.);
+      Xc_sim.Metrics.gauge_add platform_in_flight (-1.);
     if sent_at >= measure_start && now <= measure_end then begin
       let st = states.(k / conns) in
       st.completed <- st.completed + 1;
       Histogram.add st.latencies (now -. sent_at);
       if Xc_sim.Metrics.on () then begin
-        Xc_sim.Metrics.counter_incr ~cat:"platform" ~name:"requests";
-        Xc_sim.Metrics.hist_observe ~cat:"platform" ~name:"latency-ns"
-          (now -. sent_at)
+        Xc_sim.Metrics.counter_incr platform_requests;
+        Xc_sim.Metrics.observe platform_latency_ns (now -. sent_at)
       end;
       if Xc_trace.Trace.enabled () then trace_bundle st k
     end;

@@ -127,6 +127,12 @@ module Ring = struct
     if n < 0 then n + Array.length t.buf else n
 end
 
+(* A run's bundle lane (see [run]): the next free slot, and the hedge
+   row's name.  The clone fan-out is fixed per run, so the name is
+   rendered once, and one record keeps the per-request response closure
+   at one captured word for both. *)
+type lane = { mutable cursor : float; hedge_row : string }
+
 type core_state = {
   mutable last_container : int;
   mutable last_process : int;
@@ -134,6 +140,50 @@ type core_state = {
   mutable slice_used : float;
   mutable idle : bool;
 }
+
+(* Telemetry: the scheduler this driver models belongs to a different
+   substrate per mode — the hypervisor's credit scheduler over vCPUs
+   under Hierarchical, the host kernel's scheduler over processes under
+   Flat — so its metrics land in that substrate's category.  [entities]
+   is top(1)'s "Tasks:" line: how many schedulable entities the
+   scheduler owns. *)
+type sched_metrics = {
+  ready : Xc_sim.Metrics.gauge;
+  entities : Xc_sim.Metrics.gauge;
+  slices : Xc_sim.Metrics.counter;
+  cswitches : Xc_sim.Metrics.counter;
+}
+
+let sched_metrics cat ~entities ~slices ~cswitches =
+  Xc_sim.Metrics.
+    {
+      ready = gauge ~cat ~name:"ready-queue";
+      entities = gauge ~cat ~name:entities;
+      slices = counter ~cat ~name:slices;
+      cswitches = counter ~cat ~name:cswitches;
+    }
+
+let hypervisor_sched =
+  sched_metrics "hypervisor" ~entities:"vcpus" ~slices:"credit-slices"
+    ~cswitches:"vcpu-switches"
+
+let os_sched =
+  sched_metrics "os" ~entities:"tasks" ~slices:"cfs-slices"
+    ~cswitches:"container-switches"
+
+let cpu_cores_busy = Xc_sim.Metrics.gauge ~cat:"cpu" ~name:"cores-busy"
+let lb_clones_cancelled = Xc_sim.Metrics.counter ~cat:"lb" ~name:"clones-cancelled"
+let lb_clones_spawned = Xc_sim.Metrics.counter ~cat:"lb" ~name:"clones-spawned"
+let lb_requests = Xc_sim.Metrics.counter ~cat:"lb" ~name:"requests"
+let net_in_flight = Xc_sim.Metrics.gauge ~cat:"net" ~name:"in-flight"
+let net_messages = Xc_sim.Metrics.counter ~cat:"net" ~name:"messages"
+let os_ctx_switches = Xc_sim.Metrics.counter ~cat:"os" ~name:"ctx-switches"
+let platform_in_flight = Xc_sim.Metrics.gauge ~cat:"platform" ~name:"in-flight"
+let platform_latency_ns = Xc_sim.Metrics.dist ~cat:"platform" ~name:"latency-ns"
+let platform_requests = Xc_sim.Metrics.counter ~cat:"platform" ~name:"requests"
+
+let platform_vcpu_utilization =
+  Xc_sim.Metrics.gauge ~cat:"platform" ~name:"vcpu-utilization"
 
 let run config =
   if Array.length config.stage_cpu_ns = 0 then invalid_arg "Cluster_sim.run: stages";
@@ -185,7 +235,15 @@ let run config =
      simulated time, and overlapping windows cannot be partitioned
      exactly by a containment sweep; the sequential lane makes
      [Profile.attribute] exact.  Durations are untouched. *)
-  let synth_cursor = ref (measure_end +. config.client_rtt_ns +. 1e9) in
+  let lane =
+    {
+      cursor = measure_end +. config.client_rtt_ns +. 1e9;
+      hedge_row =
+        (match lb_state with
+        | Some (_, clones) -> Printf.sprintf "clone-x%d" clones
+        | None -> "");
+    }
+  in
 
   (* Entities: one per container (hier) or one per process (flat). *)
   let n_entities =
@@ -224,33 +282,15 @@ let run config =
   (* Per-backend core-time, for the utilization column the fluid tier
      predicts analytically: busy.(i) / (pcpus * horizon). *)
   let backend_busy = Array.make config.containers 0. in
-  (* Telemetry: the scheduler this driver models belongs to a different
-     substrate per mode — the hypervisor's credit scheduler over vCPUs
-     under Hierarchical, the host kernel's scheduler over processes
-     under Flat — so its metrics land in that substrate's category. *)
-  let sched_cat =
-    match config.mode with Hierarchical -> "hypervisor" | Flat -> "os"
-  in
-  let slice_name =
-    match config.mode with Hierarchical -> "credit-slices" | Flat -> "cfs-slices"
-  in
-  let cswitch_cat, cswitch_name =
-    match config.mode with
-    | Hierarchical -> ("hypervisor", "vcpu-switches")
-    | Flat -> ("os", "container-switches")
+  let sched =
+    match config.mode with Hierarchical -> hypervisor_sched | Flat -> os_sched
   in
   let note_ready () =
     if Xc_sim.Metrics.on () then
-      Xc_sim.Metrics.gauge_set ~cat:sched_cat ~name:"ready-queue"
-        (float_of_int (Ring.length ready))
+      Xc_sim.Metrics.gauge_set sched.ready (float_of_int (Ring.length ready))
   in
-  (* top(1)'s "Tasks:" line — how many schedulable entities this
-     scheduler owns (vCPUs under the hypervisor, processes under the
-     host kernel). *)
   if Xc_sim.Metrics.on () then
-    Xc_sim.Metrics.gauge_set ~cat:sched_cat
-      ~name:(match config.mode with Hierarchical -> "vcpus" | Flat -> "tasks")
-      (float_of_int n_entities);
+    Xc_sim.Metrics.gauge_set sched.entities (float_of_int n_entities);
   let cores =
     Array.init config.pcpus (fun _ ->
         {
@@ -269,7 +309,7 @@ let run config =
     match Ring.take_opt idle_cores with
     | Some i when cores.(i).idle ->
         cores.(i).idle <- false;
-        Xc_sim.Metrics.gauge_add ~cat:"cpu" ~name:"cores-busy" 1.;
+        Xc_sim.Metrics.gauge_add cpu_cores_busy 1.;
         dispatch i engine
     | Some _ -> wake_core engine
     | None -> ()
@@ -302,7 +342,7 @@ let run config =
               cs.hedge_ns <- cs.hedge_ns +. sib.done_ns;
               Xc_lb.Policy.complete pol sib.container;
               if Xc_sim.Metrics.on () then
-                Xc_sim.Metrics.counter_incr ~cat:"lb" ~name:"clones-cancelled"
+                Xc_sim.Metrics.counter_incr lb_clones_cancelled
             end)
           cs.bursts
     | _ -> ());
@@ -310,23 +350,22 @@ let run config =
     let now = Engine.now engine in
     let response_at = now +. (config.client_rtt_ns /. 2.) in
     if Xc_sim.Metrics.on () then begin
-      Xc_sim.Metrics.gauge_add ~cat:"net" ~name:"in-flight" 1.;
-      Xc_sim.Metrics.counter_incr ~cat:"net" ~name:"messages"
+      Xc_sim.Metrics.gauge_add net_in_flight 1.;
+      Xc_sim.Metrics.counter_incr net_messages
     end;
     Engine.schedule engine response_at (fun engine ->
         let now' = Engine.now engine in
         if Xc_sim.Metrics.on () then begin
-          Xc_sim.Metrics.gauge_add ~cat:"net" ~name:"in-flight" (-1.);
-          Xc_sim.Metrics.gauge_add ~cat:"platform" ~name:"in-flight" (-1.)
+          Xc_sim.Metrics.gauge_add net_in_flight (-1.);
+          Xc_sim.Metrics.gauge_add platform_in_flight (-1.)
         end;
         if now' >= measure_start && now' <= measure_end then incr finished;
         if b.sent_at >= measure_start && now' <= measure_end then begin
           incr completed;
           Histogram.add latencies (now' -. b.sent_at);
           if Xc_sim.Metrics.on () then begin
-            Xc_sim.Metrics.counter_incr ~cat:"platform" ~name:"requests";
-            Xc_sim.Metrics.hist_observe ~cat:"platform" ~name:"latency-ns"
-              (now' -. b.sent_at)
+            Xc_sim.Metrics.counter_incr platform_requests;
+            Xc_sim.Metrics.observe platform_latency_ns (now' -. b.sent_at)
           end;
           if Xc_trace.Trace.enabled () then begin
             let bundle = Array.length config.request_mech > 0 in
@@ -335,8 +374,8 @@ let run config =
                mechanism decomposition was configured. *)
             let shift =
               if bundle then begin
-                let c = !synth_cursor in
-                synth_cursor := c +. (now' -. b.sent_at);
+                let c = lane.cursor in
+                lane.cursor <- c +. (now' -. b.sent_at);
                 c -. b.sent_at
               end
               else 0.
@@ -378,9 +417,7 @@ let run config =
                  visible even when the siblings never started. *)
               (match b.set with
               | Some cs when cs.fanout > 1 ->
-                  emit "lb.hedge"
-                    (Printf.sprintf "clone-x%d" cs.fanout)
-                    (Float.max cs.hedge_ns 1.)
+                  emit "lb.hedge" lane.hedge_row (Float.max cs.hedge_ns 1.)
               | _ -> ());
               if half > 0. then
                 Xc_trace.Trace.span ~at:(now' +. shift -. half) ~cat:Xc_trace.Mechanism.(to_string Net_hop)
@@ -409,22 +446,22 @@ let run config =
       }
     in
     if Xc_sim.Metrics.on () then begin
-      Xc_sim.Metrics.gauge_add ~cat:"platform" ~name:"in-flight" 1.;
-      Xc_sim.Metrics.gauge_add ~cat:"net" ~name:"in-flight" 1.;
-      Xc_sim.Metrics.counter_incr ~cat:"net" ~name:"messages"
+      Xc_sim.Metrics.gauge_add platform_in_flight 1.;
+      Xc_sim.Metrics.gauge_add net_in_flight 1.;
+      Xc_sim.Metrics.counter_incr net_messages
     end;
     match lb_state with
     | None ->
         let b = fresh_burst ~target:container ~set:None in
         Engine.schedule engine arrive_at (fun engine ->
-            Xc_sim.Metrics.gauge_add ~cat:"net" ~name:"in-flight" (-1.);
+            Xc_sim.Metrics.gauge_add net_in_flight (-1.);
             enqueue_burst engine b)
     | Some (pol, clones) ->
         (* The balancer picks on arrival, observing the in-flight and
            queue state of that instant, and fans the request out to
            [clones] distinct backends. *)
         Engine.schedule engine arrive_at (fun engine ->
-            Xc_sim.Metrics.gauge_add ~cat:"net" ~name:"in-flight" (-1.);
+            Xc_sim.Metrics.gauge_add net_in_flight (-1.);
             let targets = Xc_lb.Policy.pick_set pol ~clones in
             let cs =
               {
@@ -438,9 +475,8 @@ let run config =
             cs.bursts <-
               List.map (fun target -> fresh_burst ~target ~set:(Some cs)) targets;
             if Xc_sim.Metrics.on () then begin
-              Xc_sim.Metrics.counter_incr ~cat:"lb" ~name:"requests";
-              Xc_sim.Metrics.counter_add ~cat:"lb" ~name:"clones-spawned"
-                (float_of_int clones)
+              Xc_sim.Metrics.counter_incr lb_requests;
+              Xc_sim.Metrics.counter_add lb_clones_spawned (float_of_int clones)
             end;
             List.iter
               (fun (b : burst) ->
@@ -501,7 +537,7 @@ let run config =
     | None ->
         core.idle <- true;
         core.cur_entity <- -1;
-        Xc_sim.Metrics.gauge_add ~cat:"cpu" ~name:"cores-busy" (-1.);
+        Xc_sim.Metrics.gauge_add cpu_cores_busy (-1.);
         Ring.add idle_cores core_idx
     | Some (e, _fresh) -> begin
         match work_pop e with
@@ -522,7 +558,7 @@ let run config =
             let switch_cost =
               if core.last_container <> b.container then begin
                 incr container_switches;
-                Xc_sim.Metrics.counter_incr ~cat:cswitch_cat ~name:cswitch_name;
+                Xc_sim.Metrics.counter_incr sched.cswitches;
                 switch_kind := "container";
                 (* The bookkeeping term scales with the task population
                    this scheduler manages (CFS statistics, cgroup walks,
@@ -536,7 +572,7 @@ let run config =
               end
               else if core.last_process <> b.process then begin
                 incr process_switches;
-                Xc_sim.Metrics.counter_incr ~cat:"os" ~name:"ctx-switches";
+                Xc_sim.Metrics.counter_incr os_ctx_switches;
                 switch_kind := "process";
                 config.process_switch_ns
               end
@@ -566,9 +602,9 @@ let run config =
               backend_busy.(b.container) +. switch_cost +. slice;
             core.slice_used <- core.slice_used +. slice;
             if Xc_sim.Metrics.on () then begin
-              Xc_sim.Metrics.counter_incr ~cat:sched_cat ~name:slice_name;
+              Xc_sim.Metrics.counter_incr sched.slices;
               if now > 0. then
-                Xc_sim.Metrics.gauge_set ~cat:"platform" ~name:"vcpu-utilization"
+                Xc_sim.Metrics.gauge_set platform_vcpu_utilization
                   (!busy /. (float_of_int config.pcpus *. now))
             end;
             Engine.schedule engine

@@ -43,7 +43,20 @@ let pp fmt t =
 
 type dist_view = { n : int; p50 : float; p99 : float; max_ : float }
 type sample = Count of float | Level of float | Dist of dist_view
-type snapshot = { at : Time_ns.t; values : (string * sample) list }
+type kind = Counter_k | Gauge_k | Dist_k
+
+(* The sorted key set of a registry, shared by every snapshot taken
+   while that key set held: key [i] is a [kinds.(i)] whose values start
+   at cell [offsets.(i)] — one cell for a counter or gauge, four
+   ([n], p50, p99, max) for a distribution. *)
+type layout = {
+  keys : string array;
+  kinds : kind array;
+  offsets : int array;
+  width : int;
+}
+
+type snapshot = { at : Time_ns.t; layout : layout; cells : float array }
 
 type telemetry = {
   snapshots : snapshot list;
@@ -55,6 +68,39 @@ type telemetry = {
 
 let empty_telemetry =
   { snapshots = []; snap_dropped = 0; counters = []; gauges = []; hists = [] }
+
+let width_of = function Counter_k | Gauge_k -> 1 | Dist_k -> 4
+
+let layout_of keys kinds =
+  let offsets = Array.make (Array.length kinds) 0 in
+  let width = ref 0 in
+  Array.iteri
+    (fun i k ->
+      offsets.(i) <- !width;
+      width := !width + width_of k)
+    kinds;
+  { keys; kinds; offsets; width = !width }
+
+let sample_at l cells i =
+  let o = l.offsets.(i) in
+  match l.kinds.(i) with
+  | Counter_k -> Count cells.(o)
+  | Gauge_k -> Level cells.(o)
+  | Dist_k ->
+      Dist
+        {
+          n = int_of_float cells.(o);
+          p50 = cells.(o + 1);
+          p99 = cells.(o + 2);
+          max_ = cells.(o + 3);
+        }
+
+let values s =
+  List.init (Array.length s.layout.keys) (fun i ->
+      (s.layout.keys.(i), sample_at s.layout s.cells i))
+
+let index l key = Array.find_index (String.equal key) l.keys
+let find s key = Option.map (sample_at s.layout s.cells) (index s.layout key)
 
 let default_interval_ns = 50_000. (* 50 sim-µs *)
 let default_retention = 8192
@@ -81,19 +127,61 @@ let enable ?interval_ns ?retention () =
 
 let disable () = Atomic.set on_flag false
 
-type mdata = Counter_v of float ref | Gauge_v of float ref | Dist_v of Histogram.t
+(* A flat float record: updating [v] stores in place, no boxing. *)
+type fcell = { mutable v : float }
+
+(* A distribution and the (n, p50, p99, max) of its last projection,
+   valid while [Histogram.count hist = view.(0)]: histograms only grow
+   (and merging in an empty one changes nothing), so an unchanged
+   count means unchanged percentiles. *)
+type dcell = { mutable hist : Histogram.t; view : float array }
+
+type mdata = Counter_v of fcell | Gauge_v of fcell | Dist_v of dcell | Unbound
+
+(* [n] snapshots of identical cells at the consecutive boundaries
+   [(k0 + i) * dt], [i < n]: everything one uneventful stretch of sim
+   time produced, in O(1) however many boundaries it crossed.  An int
+   [k0] moves without boxing when retention trims the front. *)
+type span = {
+  mutable k0 : int;
+  dt : float;
+  mutable n : int;
+  slayout : layout;
+  scells : float array;
+}
+
+type run = One of snapshot | Span of span
 
 type reg = {
-  mutable tbl : (string, mdata) Hashtbl.t; (* key = "cat/name" *)
-  mutable snaps : snapshot Queue.t; (* oldest at the front *)
+  tbl : (string, mdata) Hashtbl.t; (* key = "cat/name" *)
+  mutable slots : mdata array; (* handle id -> this registry's cell *)
+  mutable layout : layout; (* of [tbl], unless [stale] *)
+  mutable order : mdata array; (* [tbl]'s cells in layout order *)
+  mutable stale : bool;
+  runs : run Queue.t; (* oldest at the front *)
+  mutable last : span option; (* the newest run, if it can grow *)
+  mutable kept : int; (* snapshots in [runs] *)
   mutable snap_dropped : int;
 }
 
-let reg_key =
-  Domain.DLS.new_key (fun () ->
-      { tbl = Hashtbl.create 32; snaps = Queue.create (); snap_dropped = 0 })
+let empty_layout = layout_of [||] [||]
 
-let key ~cat ~name = cat ^ "/" ^ name
+let fresh_reg () =
+  {
+    tbl = Hashtbl.create 32;
+    slots = [||];
+    layout = empty_layout;
+    order = [||];
+    stale = false;
+    runs = Queue.create ();
+    last = None;
+    kept = 0;
+    snap_dropped = 0;
+  }
+
+(* Capture swaps the whole registry, so every per-registry cache
+   (slots, layout) goes with it. *)
+let reg_key = Domain.DLS.new_key fresh_reg
 
 let split_key k =
   match String.index_opt k '/' with
@@ -103,157 +191,277 @@ let split_key k =
 let kind_mismatch k =
   invalid_arg (Printf.sprintf "Metrics: %s already registered with another kind" k)
 
-let counter_cell reg k =
-  match Hashtbl.find_opt reg.tbl k with
-  | Some (Counter_v r) -> r
-  | Some _ -> kind_mismatch k
-  | None ->
-      let r = ref 0. in
-      Hashtbl.add reg.tbl k (Counter_v r);
-      r
+let kind_of = function
+  | Counter_v _ -> Counter_k
+  | Gauge_v _ -> Gauge_k
+  | Dist_v _ -> Dist_k
+  | Unbound -> assert false
 
-let gauge_cell reg k =
-  match Hashtbl.find_opt reg.tbl k with
-  | Some (Gauge_v r) -> r
-  | Some _ -> kind_mismatch k
+(* The registry's cell for [key], created (and the layout marked stale)
+   on first use. *)
+let cell reg key kind =
+  match Hashtbl.find_opt reg.tbl key with
+  | Some m -> if kind_of m <> kind then kind_mismatch key else m
   | None ->
-      let r = ref 0. in
-      Hashtbl.add reg.tbl k (Gauge_v r);
-      r
+      let m =
+        match kind with
+        | Counter_k -> Counter_v { v = 0. }
+        | Gauge_k -> Gauge_v { v = 0. }
+        | Dist_k -> Dist_v { hist = Histogram.create (); view = [| -1.; 0.; 0.; 0. |] }
+      in
+      Hashtbl.add reg.tbl key m;
+      reg.stale <- true;
+      m
 
-let hist_cell reg k =
-  match Hashtbl.find_opt reg.tbl k with
-  | Some (Dist_v h) -> h
-  | Some _ -> kind_mismatch k
-  | None ->
-      let h = Histogram.create () in
-      Hashtbl.add reg.tbl k (Dist_v h);
-      h
+(* ---------------- Handles ---------------- *)
 
-let counter_add ~cat ~name v =
+type handle = { key : string; id : int }
+type counter = handle
+type gauge = handle
+type dist = handle
+
+(* Ids index every registry's [slots]; a plain atomic counter, so
+   creating a handle takes no lock and touches no registry. *)
+let next_id = Atomic.make 0
+
+let handle ~cat ~name = { key = cat ^ "/" ^ name; id = Atomic.fetch_and_add next_id 1 }
+let counter = handle
+let gauge = handle
+let dist = handle
+
+(* First touch of [h] in this registry: resolve its key through the
+   table (two handles for one key share the cell) and cache it. *)
+let resolve reg h kind =
+  let m = cell reg h.key kind in
+  let n = Array.length reg.slots in
+  if h.id >= n then begin
+    let slots = Array.make (max (h.id + 1) (Atomic.get next_id)) Unbound in
+    Array.blit reg.slots 0 slots 0 n;
+    reg.slots <- slots
+  end;
+  reg.slots.(h.id) <- m;
+  m
+
+let slot reg id =
+  if id < Array.length reg.slots then Array.unsafe_get reg.slots id else Unbound
+
+(* This registry's cell for [h]: one array load once resolved.  A
+   handle's type fixes its kind, so its slot never holds another. *)
+let float_cell reg h kind =
+  match slot reg h.id with
+  | Counter_v c | Gauge_v c -> c
+  | _ -> (
+      match resolve reg h kind with Counter_v c | Gauge_v c -> c | _ -> assert false)
+
+let counter_add h v =
   if on () then begin
-    let r = counter_cell (Domain.DLS.get reg_key) (key ~cat ~name) in
-    r := !r +. v
+    let c = float_cell (Domain.DLS.get reg_key) h Counter_k in
+    c.v <- c.v +. v
   end
 
-let counter_incr ~cat ~name = counter_add ~cat ~name 1.
+let counter_incr h = counter_add h 1.
+let gauge_set h v = if on () then (float_cell (Domain.DLS.get reg_key) h Gauge_k).v <- v
 
-let gauge_set ~cat ~name v =
-  if on () then gauge_cell (Domain.DLS.get reg_key) (key ~cat ~name) := v
-
-let gauge_add ~cat ~name v =
+let gauge_add h v =
   if on () then begin
-    let r = gauge_cell (Domain.DLS.get reg_key) (key ~cat ~name) in
-    r := !r +. v
+    let c = float_cell (Domain.DLS.get reg_key) h Gauge_k in
+    c.v <- c.v +. v
   end
 
-let hist_observe ~cat ~name v =
-  if on () then Histogram.add (hist_cell (Domain.DLS.get reg_key) (key ~cat ~name)) v
+let observe h v =
+  if on () then
+    let reg = Domain.DLS.get reg_key in
+    match slot reg h.id with
+    | Dist_v d -> Histogram.add d.hist v
+    | _ -> (
+        match resolve reg h Dist_k with
+        | Dist_v d -> Histogram.add d.hist v
+        | _ -> assert false)
 
 (* ---------------- Snapshots ---------------- *)
 
 let dist_ps = [| 50.; 99.; 100. |]
 
-let view = function
-  | Counter_v r -> Count !r
-  | Gauge_v r -> Level !r
-  | Dist_v h ->
-      let q = Histogram.percentiles h dist_ps in
-      Dist { n = Histogram.count h; p50 = q.(0); p99 = q.(1); max_ = q.(2) }
+let view d =
+  let n = float_of_int (Histogram.count d.hist) in
+  if n <> d.view.(0) then begin
+    let q = Histogram.percentiles d.hist dist_ps in
+    d.view.(0) <- n;
+    d.view.(1) <- q.(0);
+    d.view.(2) <- q.(1);
+    d.view.(3) <- q.(2)
+  end;
+  d.view
 
-let snapshot_of_reg reg ~at =
-  (* Sorted by key: Hashtbl iteration order must never leak into the
-     artifact (jobs-determinism is byte-level). *)
-  let values =
-    Hashtbl.fold (fun k m acc -> (k, view m) :: acc) reg.tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  { at; values }
+(* Sorted by key: Hashtbl iteration order must never leak into the
+   artifact (jobs-determinism is byte-level). *)
+let current_layout reg =
+  if reg.stale then begin
+    let keys = Array.of_seq (Hashtbl.to_seq_keys reg.tbl) in
+    Array.sort String.compare keys;
+    let order = Array.map (Hashtbl.find reg.tbl) keys in
+    reg.layout <- layout_of keys (Array.map kind_of order);
+    reg.order <- order;
+    reg.stale <- false
+  end;
+  reg.layout
 
-let push_snapshot reg snap =
+(* Loops, not iterators: a snapshot allocates its cells and nothing
+   else on the way. *)
+let fill reg =
+  let l = current_layout reg in
+  let cells = Array.create_float l.width in
+  for i = 0 to Array.length reg.order - 1 do
+    let o = l.offsets.(i) in
+    match reg.order.(i) with
+    | Counter_v c | Gauge_v c -> cells.(o) <- c.v
+    | Dist_v d -> Array.blit (view d) 0 cells o 4
+    | Unbound -> assert false
+  done;
+  cells
+
+(* Bit equality: 0. and -0. print differently, so they must not share
+   a run; a NaN never equals anything and simply starts a new one. *)
+let[@inline] same (a : float) b = a = b && (a <> 0. || 1. /. a = 1. /. b)
+
+(* Would a snapshot now repeat [s]'s cells?  A distribution's cells are
+   a function of its count (see [dcell]). *)
+let unchanged reg s =
+  s.slayout == current_layout reg
+  &&
+  let l = s.slayout and order = reg.order in
+  let i = ref 0 in
+  while
+    !i < Array.length order
+    &&
+    let o = l.offsets.(!i) in
+    match order.(!i) with
+    | Counter_v c | Gauge_v c -> same c.v s.scells.(o)
+    | Dist_v d -> float_of_int (Histogram.count d.hist) = s.scells.(o)
+    | Unbound -> assert false
+  do
+    i := !i + 1
+  done;
+  !i = Array.length order
+
+(* Evict the oldest snapshots beyond the retention bound, a whole run
+   or the front of one at a time. *)
+let trim reg =
   let cap = retention () in
-  Queue.push snap reg.snaps;
-  while Queue.length reg.snaps > cap do
-    ignore (Queue.pop reg.snaps);
-    reg.snap_dropped <- reg.snap_dropped + 1
+  while reg.kept > cap do
+    let excess = reg.kept - cap in
+    let gone =
+      match Queue.peek reg.runs with
+      | One _ ->
+          ignore (Queue.pop reg.runs);
+          1
+      | Span s when s.n <= excess ->
+          ignore (Queue.pop reg.runs);
+          s.n
+      | Span s ->
+          s.k0 <- s.k0 + excess;
+          s.n <- s.n - excess;
+          excess
+    in
+    reg.kept <- reg.kept - gone;
+    reg.snap_dropped <- reg.snap_dropped + gone
   done
+
+let push_one reg snap =
+  Queue.push (One snap) reg.runs;
+  reg.last <- None;
+  reg.kept <- reg.kept + 1;
+  trim reg
+
+(* [n] boundary snapshots from boundary [k0] on: they extend the newest
+   run when it ends at boundary [k0] and nothing changed since. *)
+let push_boundaries reg ~k0 ~dt n =
+  (match reg.last with
+  | Some s when s.dt = dt && s.k0 + s.n = k0 && unchanged reg s ->
+      s.n <- s.n + n
+  | _ ->
+      let cells = fill reg in
+      let s = { k0; dt; n; slayout = reg.layout; scells = cells } in
+      Queue.push (Span s) reg.runs;
+      reg.last <- Some s);
+  reg.kept <- reg.kept + n;
+  trim reg
 
 let take_snapshot ~at =
   if on () then begin
     let reg = Domain.DLS.get reg_key in
-    push_snapshot reg (snapshot_of_reg reg ~at)
+    let cells = fill reg in
+    push_one reg { at; layout = reg.layout; cells }
   end
 
 let sample_boundaries ~from:t0 ~until:t1 =
   if on () && t1 > t0 then begin
     let dt = interval_ns () in
-    let reg = Domain.DLS.get reg_key in
     let k1 = Float.floor (t1 /. dt) in
     let k0 = Float.floor (t0 /. dt) +. 1. in
-    if k1 >= k0 then begin
-      (* All boundaries inside one clock jump see identical registry
-         values (no event ran between them), so when the jump spans
-         more boundaries than the retention window keeps, materialise
-         only the survivors and count the rest as dropped — the end
-         state is exactly what the naive loop would leave. *)
-      let n = int_of_float (k1 -. k0) + 1 in
-      let cap = retention () in
-      let k0 =
-        if n > cap then begin
-          reg.snap_dropped <- reg.snap_dropped + (n - cap);
-          k1 -. float_of_int (cap - 1)
-        end
-        else k0
-      in
-      let k = ref k0 in
-      while !k <= k1 do
-        push_snapshot reg (snapshot_of_reg reg ~at:(!k *. dt));
-        k := !k +. 1.
-      done
-    end
+    if k1 >= k0 then
+      push_boundaries (Domain.DLS.get reg_key) ~k0:(int_of_float k0) ~dt
+        (int_of_float (k1 -. k0) + 1)
   end
 
 (* ---------------- Read / capture / inject ---------------- *)
 
+(* The runs expanded into one small record per snapshot; a span's
+   records share its cells. *)
+let snapshots_of_reg reg =
+  Queue.fold (fun acc r -> r :: acc) [] reg.runs
+  |> List.fold_left
+       (fun acc -> function
+         | One s -> s :: acc
+         | Span s ->
+             let acc = ref acc in
+             for i = s.n - 1 downto 0 do
+               let at = float_of_int (s.k0 + i) *. s.dt in
+               acc := { at; layout = s.slayout; cells = s.scells } :: !acc
+             done;
+             !acc)
+       []
+
 let telemetry_of_reg reg =
+  let l = current_layout reg in
   let counters = ref [] and gauges = ref [] and hists = ref [] in
-  Hashtbl.iter
-    (fun k m ->
-      match m with
-      | Counter_v r -> counters := (k, !r) :: !counters
-      | Gauge_v r -> gauges := (k, !r) :: !gauges
-      (* Copy: the telemetry value must not alias live registry state. *)
-      | Dist_v h -> hists := (k, Histogram.merge h (Histogram.create ())) :: !hists)
-    reg.tbl;
-  let sorted l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
+  for i = Array.length l.keys - 1 downto 0 do
+    let k = l.keys.(i) in
+    match reg.order.(i) with
+    | Counter_v c -> counters := (k, c.v) :: !counters
+    | Gauge_v c -> gauges := (k, c.v) :: !gauges
+    (* Copy: the telemetry value must not alias live registry state. *)
+    | Dist_v d -> hists := (k, Histogram.merge d.hist (Histogram.create ())) :: !hists
+    | Unbound -> assert false
+  done;
   {
-    snapshots = List.of_seq (Queue.to_seq reg.snaps);
+    snapshots = snapshots_of_reg reg;
     snap_dropped = reg.snap_dropped;
-    counters = sorted !counters;
-    gauges = sorted !gauges;
-    hists = sorted !hists;
+    counters = !counters;
+    gauges = !gauges;
+    hists = !hists;
   }
 
 let read () =
   if not (on ()) then empty_telemetry
   else telemetry_of_reg (Domain.DLS.get reg_key)
 
-let reset_registry () =
-  let reg = Domain.DLS.get reg_key in
-  reg.tbl <- Hashtbl.create 32;
-  reg.snaps <- Queue.create ();
-  reg.snap_dropped <- 0
+let reset_registry () = Domain.DLS.set reg_key (fresh_reg ())
 
 (* Flush-at-shard-boundary read: [read ()] then an in-place clear that
-   keeps the hashtable and queue allocated for the next shard on this
-   domain — the sharded runner's counterpart to [Trace.drain]. *)
+   keeps the registry's containers allocated for the next shard on
+   this domain — the sharded runner's counterpart to [Trace.drain]. *)
 let drain () =
   if not (on ()) then empty_telemetry
   else begin
     let reg = Domain.DLS.get reg_key in
     let tel = telemetry_of_reg reg in
     Hashtbl.reset reg.tbl;
-    Queue.clear reg.snaps;
+    Array.fill reg.slots 0 (Array.length reg.slots) Unbound;
+    reg.stale <- true;
+    Queue.clear reg.runs;
+    reg.last <- None;
+    reg.kept <- 0;
     reg.snap_dropped <- 0;
     tel
   end
@@ -261,26 +469,16 @@ let drain () =
 let capture f =
   if not (on ()) then (f (), empty_telemetry)
   else begin
-    let reg = Domain.DLS.get reg_key in
-    let saved_tbl = reg.tbl
-    and saved_snaps = reg.snaps
-    and saved_dropped = reg.snap_dropped in
-    reg.tbl <- Hashtbl.create 32;
-    reg.snaps <- Queue.create ();
-    reg.snap_dropped <- 0;
-    let restore () =
-      reg.tbl <- saved_tbl;
-      reg.snaps <- saved_snaps;
-      reg.snap_dropped <- saved_dropped
-    in
+    let saved = Domain.DLS.get reg_key in
+    Domain.DLS.set reg_key (fresh_reg ());
     match f () with
     | v ->
-        let tel = telemetry_of_reg reg in
-        restore ();
+        let tel = telemetry_of_reg (Domain.DLS.get reg_key) in
+        Domain.DLS.set reg_key saved;
         (v, tel)
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        restore ();
+        Domain.DLS.set reg_key saved;
         Printexc.raise_with_backtrace e bt
   end
 
@@ -289,21 +487,23 @@ let inject tel =
     let reg = Domain.DLS.get reg_key in
     List.iter
       (fun (k, v) ->
-        let r = counter_cell reg k in
-        r := !r +. v)
+        match cell reg k Counter_k with
+        | Counter_v c -> c.v <- c.v +. v
+        | _ -> assert false)
       tel.counters;
     (* Last-writer-wins in submission order — same at every --jobs. *)
-    List.iter (fun (k, v) -> gauge_cell reg k := v) tel.gauges;
+    List.iter
+      (fun (k, v) ->
+        match cell reg k Gauge_k with Gauge_v c -> c.v <- v | _ -> assert false)
+      tel.gauges;
+    (* Merged in place: the cell (and every slot naming it) stays. *)
     List.iter
       (fun (k, h) ->
-        match Hashtbl.find_opt reg.tbl k with
-        | Some (Dist_v existing) ->
-            Hashtbl.replace reg.tbl k (Dist_v (Histogram.merge existing h))
-        | Some _ -> kind_mismatch k
-        | None ->
-            Hashtbl.add reg.tbl k (Dist_v (Histogram.merge h (Histogram.create ()))))
+        match cell reg k Dist_k with
+        | Dist_v d -> d.hist <- Histogram.merge d.hist h
+        | _ -> assert false)
       tel.hists;
-    List.iter (fun s -> push_snapshot reg s) tel.snapshots;
+    List.iter (push_one reg) tel.snapshots;
     reg.snap_dropped <- reg.snap_dropped + tel.snap_dropped
   end
 
@@ -336,25 +536,56 @@ let merge_telemetry a b =
 
 (* ---------------- Export ---------------- *)
 
-let to_trace_events tel =
-  let ev ~cat ~name ~ts value =
-    { Xc_trace.Trace.kind = Xc_trace.Trace.Counter; cat; name; ts; dur = 0.; value }
-  in
+(* Per cell of a layout, the (cat, name) of its counter track; split
+   once per layout, not once per snapshot. *)
+let tracks l =
+  let cats = Array.make l.width "" and names = Array.make l.width "" in
+  Array.iteri
+    (fun i k ->
+      let cat, name = split_key k in
+      let o = l.offsets.(i) in
+      match l.kinds.(i) with
+      | Counter_k | Gauge_k ->
+          cats.(o) <- cat;
+          names.(o) <- name
+      | Dist_k ->
+          List.iteri
+            (fun j suffix ->
+              cats.(o + j) <- cat;
+              names.(o + j) <- name ^ suffix)
+            [ ".n"; ".p50"; ".p99"; ".max" ])
+    l.keys;
+  (cats, names)
+
+(* [List.concat_map] over snapshots, handing [f] a per-layout value
+   [of_layout l] that is recomputed only when the layout changes. *)
+let concat_map_by_layout of_layout f snaps =
+  let cache = ref None in
   List.concat_map
-    (fun snap ->
-      List.concat_map
-        (fun (k, s) ->
-          let cat, name = split_key k in
-          match s with
-          | Count v | Level v -> [ ev ~cat ~name ~ts:snap.at v ]
-          | Dist d ->
-              [
-                ev ~cat ~name:(name ^ ".n") ~ts:snap.at (float_of_int d.n);
-                ev ~cat ~name:(name ^ ".p50") ~ts:snap.at d.p50;
-                ev ~cat ~name:(name ^ ".p99") ~ts:snap.at d.p99;
-                ev ~cat ~name:(name ^ ".max") ~ts:snap.at d.max_;
-              ])
-        snap.values)
+    (fun (s : snapshot) ->
+      let v =
+        match !cache with
+        | Some (l, v) when l == s.layout -> v
+        | _ ->
+            let v = of_layout s.layout in
+            cache := Some (s.layout, v);
+            v
+      in
+      f s v)
+    snaps
+
+let to_trace_events tel =
+  concat_map_by_layout tracks
+    (fun (s : snapshot) (cats, names) ->
+      List.init (Array.length s.cells) (fun o ->
+          {
+            Xc_trace.Trace.kind = Xc_trace.Trace.Counter;
+            cat = cats.(o);
+            name = names.(o);
+            ts = s.at;
+            dur = 0.;
+            value = s.cells.(o);
+          }))
     tel.snapshots
 
 (* ---------------- Alert rules ---------------- *)
@@ -423,27 +654,31 @@ let rule_of_string s =
 
 type firing = { rule : alert_rule; at : Time_ns.t; value : float }
 
-(* The scalar a rule tests: counters and gauges their value, histogram
-   metrics their p99 (the tail is what thresholds guard). *)
-let scalar_of_sample = function Count v -> v | Level v -> v | Dist d -> d.p99
-
 let fired r v =
   (match r.above with Some t -> v > t | None -> false)
   || match r.below with Some t -> v < t | None -> false
 
+(* The cell a rule tests in a layout, if its key is there: counters and
+   gauges their value, histogram metrics their p99 (the tail is what
+   thresholds guard). *)
+let rule_cell l r =
+  Option.map
+    (fun i ->
+      match l.kinds.(i) with
+      | Counter_k | Gauge_k -> l.offsets.(i)
+      | Dist_k -> l.offsets.(i) + 2)
+    (index l (rule_key r))
+
 let firings ?rules tel =
   let rules = match rules with Some r -> r | None -> alerts () in
-  List.concat_map
-    (fun snap ->
+  concat_map_by_layout
+    (fun l -> List.filter_map (fun r -> Option.map (fun o -> (r, o)) (rule_cell l r)) rules)
+    (fun (snap : snapshot) cells ->
       List.filter_map
-        (fun r ->
-          match List.assoc_opt (rule_key r) snap.values with
-          | None -> None
-          | Some s ->
-              let v = scalar_of_sample s in
-              if fired r v then Some { rule = r; at = snap.at; value = v }
-              else None)
-        rules)
+        (fun (r, o) ->
+          let v = snap.cells.(o) in
+          if fired r v then Some { rule = r; at = snap.at; value = v } else None)
+        cells)
     tel.snapshots
 
 let render_firings fs =

@@ -51,13 +51,32 @@ type sample =
   | Level of float  (** gauge level at snapshot time *)
   | Dist of dist_view
 
-type snapshot = {
+type layout
+(** The sorted key set of a registry, shared by every snapshot taken
+    while it held: which key owns which cells, and of what kind.  A
+    registry rebuilds it only when a key is added or the registry is
+    swapped. *)
+
+type snapshot = private {
   at : Time_ns.t;
-  values : (string * sample) list;  (** key = ["cat/name"], sorted *)
+  layout : layout;
+  cells : float array;
+      (** the values in layout order: one cell per counter or gauge,
+          four ([n], p50, p99, max) per distribution *)
 }
+(** Read through {!values} or {!find}.  Snapshots of one uneventful
+    stretch of sim time share their [cells]. *)
+
+val values : snapshot -> (string * sample) list
+(** Every metric of the snapshot, sorted by key (["cat/name"]). *)
+
+val find : snapshot -> string -> sample option
+(** [find s "cat/name"]: the one metric, if the snapshot has it. *)
 
 type telemetry = {
-  snapshots : snapshot list;  (** oldest first, at most [retention] *)
+  snapshots : snapshot list;
+      (** oldest first, at most [retention]; the registry's runs
+          expanded, one record per snapshot *)
   snap_dropped : int;  (** snapshots evicted by the retention bound *)
   counters : (string * float) list;  (** final totals, sorted by key *)
   gauges : (string * float) list;  (** final levels, sorted by key *)
@@ -89,17 +108,36 @@ val on : unit -> bool
 val interval_ns : unit -> float
 val retention : unit -> int
 
-(** {2 Emitters}
+(** {2 Handles and emitters}
 
-    All are no-ops when disabled.  [cat] names the substrate
-    (["cpu"], ["os"], ["mem"], ["hypervisor"], ["net"], ["platform"],
-    ["isa"], ["abom"], ["app"]) and must not contain ['/']. *)
+    A metric is named once, by a handle built at module initialisation,
+    and emitted through the handle.  Every handle takes a fresh id and
+    each registry's slot array spans all ids, so handles are not made
+    per run or per request.  [cat] names the
+    substrate (["cpu"], ["os"], ["mem"], ["hypervisor"], ["net"],
+    ["platform"], ["isa"], ["abom"], ["app"], ["lb"]) and must not
+    contain ['/'].  Creating a handle registers nothing: a metric
+    enters a registry on its first emit there, resolved by key, so two
+    handles for one key share one cell.  After that an emit is one
+    domain-local read, one array load and one store.  Emitting to a key
+    already registered with another kind raises [Invalid_argument].
+    All emitters are no-ops when disabled. *)
 
-val counter_add : cat:string -> name:string -> float -> unit
-val counter_incr : cat:string -> name:string -> unit
-val gauge_set : cat:string -> name:string -> float -> unit
-val gauge_add : cat:string -> name:string -> float -> unit
-val hist_observe : cat:string -> name:string -> float -> unit
+type counter
+type gauge
+type dist
+
+val counter : cat:string -> name:string -> counter
+val gauge : cat:string -> name:string -> gauge
+val dist : cat:string -> name:string -> dist
+
+val counter_add : counter -> float -> unit
+val counter_incr : counter -> unit
+val gauge_set : gauge -> float -> unit
+val gauge_add : gauge -> float -> unit
+
+val observe : dist -> float -> unit
+(** Add one sample to a histogram metric. *)
 
 (** {2 Snapshot driver} *)
 
@@ -110,11 +148,12 @@ val take_snapshot : at:Time_ns.t -> unit
 val sample_boundaries : from:Time_ns.t -> until:Time_ns.t -> unit
 (** Snapshot at every interval boundary [k*interval_ns] in
     [(from, until]] — called by the engine each time the sim clock
-    advances, {e before} the event at [until] executes.  When one jump
-    spans more boundaries than the retention window, only the
-    survivors are materialised and the rest counted as dropped (their
-    values would all be identical anyway — no event ran between
-    them). *)
+    advances, {e before} the event at [until] executes.  The registry
+    keeps runs of identical snapshots at consecutive boundaries, so a
+    jump costs O(1) whatever its length: it extends the newest run when
+    no value changed since, and otherwise starts one with a fresh copy
+    of the cells.  Retention evicts whole runs or the front of the
+    oldest. *)
 
 (** {2 Reading and composition} *)
 

@@ -14,6 +14,13 @@ val fmt_ns : float -> string
 
 (** {1 Flamegraph folding} *)
 
+val sorted_spans : Trace.event list -> Trace.event array
+(** The positive-duration spans in canonical order: by start time; at
+    equal starts the longer span first (it is the parent); then by
+    [cat], then [name].  Stable, so the order is deterministic whatever
+    the input order.  {!fold}, {!attribute} and the critical-path
+    extractor all sweep this order. *)
+
 val fold : ?root:string -> Trace.event list -> (string * float) list
 (** Fold the span timeline into [(stack, self_ns)] rows, sorted by
     stack.  Each span contributes the frame ["cat;name"]; nested spans

@@ -45,11 +45,66 @@ let test_open_loop () =
       let r = Open_loop.run config nginx in
       int_of_float (Float.round (r.completed_rps *. 0.1)))
 
+(* Telemetry gates: what a metric costs once it is registered. *)
+module M = Xc_sim.Metrics
+
+let ticks = M.counter ~cat:"alloc" ~name:"ticks"
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let with_telemetry ~retention f =
+  M.enable ~interval_ns:1000. ~retention ();
+  M.reset_registry ();
+  Fun.protect f ~finally:(fun () ->
+      M.reset_registry ();
+      M.disable ())
+
+(* A registered counter is bumped in place: no boxed float, no key. *)
+let test_counter_incr () =
+  with_telemetry ~retention:M.default_retention (fun () ->
+      M.counter_incr ticks;
+      let empty = minor_words (fun () -> ()) in
+      let w =
+        minor_words (fun () ->
+            for _ = 1 to 10_000 do
+              M.counter_incr ticks
+            done)
+      in
+      Alcotest.(check (float 0.)) "counter_incr allocates nothing" empty w)
+
+(* One clock jump is one run, however many boundaries it crosses: a
+   jump over 10^6 boundaries at retention 8192 allocates exactly what a
+   jump over 10 does.  Measured 15 words: the run's record, its queue
+   cell and one copy of the cells; the bound is that plus about 10%. *)
+let jump_words boundaries =
+  with_telemetry ~retention:8192 (fun () ->
+      M.counter_incr ticks;
+      M.sample_boundaries ~from:0. ~until:1000.;
+      M.counter_incr ticks;
+      let until = 1000. *. float_of_int (boundaries + 1) in
+      minor_words (fun () -> M.sample_boundaries ~from:1000. ~until))
+
+let test_long_jump () =
+  let short = jump_words 10 and long = jump_words 1_000_000 in
+  Alcotest.(check (float 0.)) "independent of the jump length" short long;
+  if long > 17. then
+    Alcotest.failf "a 10^6-boundary jump allocates %.0f words, over the 17 bound" long
+
 let suites =
   [
     ( "platforms.alloc",
       [
         Alcotest.test_case "closed-loop words per request" `Quick test_closed_loop;
         Alcotest.test_case "open-loop words per request" `Quick test_open_loop;
+      ] );
+    ( "metrics.alloc",
+      [
+        Alcotest.test_case "counter_incr on a handle allocates nothing" `Quick
+          test_counter_incr;
+        Alcotest.test_case "a long clock jump allocates O(1) words" `Quick
+          test_long_jump;
       ] );
   ]

@@ -484,12 +484,21 @@ let test_alert_rules () =
   M.clear_alerts ();
   Alcotest.(check int) "cleared" 0 (List.length (M.alerts ()))
 
+let messages = M.counter ~cat:"net" ~name:"messages"
+let tasks = M.gauge ~cat:"os" ~name:"tasks"
+
 let test_alert_firings () =
-  let snap at v =
-    { M.at; values = [ ("net/messages", M.Count v); ("os/tasks", M.Level 8.) ] }
-  in
-  let tel =
-    { M.empty_telemetry with M.snapshots = [ snap 50. 5.; snap 100. 500.; snap 150. 900. ] }
+  (* Three snapshots: net/messages at 5, 500, 900 and os/tasks at 8. *)
+  M.enable ~retention:M.default_retention ();
+  let (), tel =
+    Fun.protect ~finally:M.disable (fun () ->
+        M.capture (fun () ->
+            M.gauge_set tasks 8.;
+            List.iter
+              (fun (at, dv) ->
+                M.counter_add messages dv;
+                M.take_snapshot ~at)
+              [ (50., 5.); (100., 495.); (150., 400.) ]))
   in
   let rule s =
     match M.rule_of_string s with Ok r -> r | Error e -> Alcotest.fail e

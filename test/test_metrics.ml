@@ -8,6 +8,23 @@ module M = Xc_sim.Metrics
 module H = Xc_sim.Histogram
 module E = Xc_sim.Engine
 
+(* Handles for the metrics the tests emit. *)
+let cpu_busy_ns = M.counter ~cat:"cpu" ~name:"busy-ns"
+let cpu_e = M.counter ~cat:"cpu" ~name:"e"
+let cpu_ev = M.counter ~cat:"cpu" ~name:"ev"
+let cpu_inner = M.counter ~cat:"cpu" ~name:"inner"
+let cpu_k = M.counter ~cat:"cpu" ~name:"k"
+let cpu_k_gauge = M.gauge ~cat:"cpu" ~name:"k"
+let cpu_outer = M.counter ~cat:"cpu" ~name:"outer"
+let cpu_work = M.counter ~cat:"cpu" ~name:"work"
+let cpu_x = M.counter ~cat:"cpu" ~name:"x"
+let os_level = M.gauge ~cat:"os" ~name:"level"
+let os_runqueue = M.gauge ~cat:"os" ~name:"runqueue"
+let os_y = M.gauge ~cat:"os" ~name:"y"
+let p_h = M.dist ~cat:"p" ~name:"h"
+let platform_lat = M.dist ~cat:"platform" ~name:"lat"
+let platform_latency_ns = M.dist ~cat:"platform" ~name:"latency-ns"
+
 (* Every test runs against a clean, enabled registry and leaves the
    recorder off (other suites must not see stray metrics).  Settings
    persist across enables by design, so pin both explicitly. *)
@@ -20,8 +37,8 @@ let with_metrics ?(interval_ns = M.default_interval_ns)
 let test_disabled_is_free () =
   M.disable ();
   M.reset_registry ();
-  M.counter_incr ~cat:"cpu" ~name:"x";
-  M.gauge_set ~cat:"os" ~name:"y" 7.;
+  M.counter_incr cpu_x;
+  M.gauge_set os_y 7.;
   M.take_snapshot ~at:100.;
   let tel = M.read () in
   Alcotest.(check int) "no snapshots" 0 (List.length tel.M.snapshots);
@@ -29,12 +46,12 @@ let test_disabled_is_free () =
 
 let test_emitters_and_snapshot =
   with_metrics (fun () ->
-      M.counter_add ~cat:"cpu" ~name:"busy-ns" 10.;
-      M.counter_incr ~cat:"cpu" ~name:"busy-ns";
-      M.gauge_set ~cat:"os" ~name:"runqueue" 3.;
-      M.gauge_add ~cat:"os" ~name:"runqueue" 2.;
-      M.hist_observe ~cat:"platform" ~name:"latency-ns" 500.;
-      M.hist_observe ~cat:"platform" ~name:"latency-ns" 700.;
+      M.counter_add cpu_busy_ns 10.;
+      M.counter_incr cpu_busy_ns;
+      M.gauge_set os_runqueue 3.;
+      M.gauge_add os_runqueue 2.;
+      M.observe platform_latency_ns 500.;
+      M.observe platform_latency_ns 700.;
       M.take_snapshot ~at:50_000.;
       let tel = M.read () in
       Alcotest.(check int) "one snapshot" 1 (List.length tel.M.snapshots);
@@ -43,29 +60,67 @@ let test_emitters_and_snapshot =
       (* Keys are sorted: cpu/... < os/... < platform/... *)
       Alcotest.(check (list string)) "sorted keys"
         [ "cpu/busy-ns"; "os/runqueue"; "platform/latency-ns" ]
-        (List.map fst s.M.values);
-      (match List.assoc "cpu/busy-ns" s.M.values with
+        (List.map fst (M.values s));
+      (match List.assoc "cpu/busy-ns" (M.values s) with
       | M.Count v -> Alcotest.(check (float 0.)) "counter" 11. v
       | _ -> Alcotest.fail "cpu/busy-ns should be a counter");
-      (match List.assoc "os/runqueue" s.M.values with
+      (match List.assoc "os/runqueue" (M.values s) with
       | M.Level v -> Alcotest.(check (float 0.)) "gauge" 5. v
       | _ -> Alcotest.fail "os/runqueue should be a gauge");
-      match List.assoc "platform/latency-ns" s.M.values with
+      match List.assoc "platform/latency-ns" (M.values s) with
       | M.Dist d -> Alcotest.(check int) "dist n" 2 d.M.n
       | _ -> Alcotest.fail "platform/latency-ns should be a dist")
 
 let test_kind_mismatch_raises =
   with_metrics (fun () ->
-      M.counter_incr ~cat:"cpu" ~name:"k";
+      M.counter_incr cpu_k;
       Alcotest.check_raises "gauge on a counter key"
         (Invalid_argument "Metrics: cpu/k already registered with another kind")
-        (fun () -> M.gauge_set ~cat:"cpu" ~name:"k" 1.))
+        (fun () -> M.gauge_set cpu_k_gauge 1.))
+
+(* A handle is a name, not a cell: one made before a drain, a reset or
+   a capture writes into whichever registry is current when it emits,
+   and a capture hands the outer registry back with its cells. *)
+let handle_probe = M.counter ~cat:"handle" ~name:"probe"
+
+let test_handles_follow_registry =
+  with_metrics (fun () ->
+      let probe name want =
+        Alcotest.(check (option (float 0.))) name want
+          (List.assoc_opt "handle/probe" (M.read ()).M.counters)
+      in
+      M.counter_add handle_probe 1.;
+      ignore (M.drain ());
+      M.counter_add handle_probe 2.;
+      probe "after drain" (Some 2.);
+      M.reset_registry ();
+      M.counter_add handle_probe 3.;
+      probe "after reset" (Some 3.);
+      let (), inner = M.capture (fun () -> M.counter_add handle_probe 4.) in
+      Alcotest.(check (list (pair string (float 0.)))) "inside capture"
+        [ ("handle/probe", 4.) ] inner.M.counters;
+      M.counter_add handle_probe 5.;
+      probe "outer cell restored" (Some 8.))
+
+let test_handles_share_cell =
+  with_metrics (fun () ->
+      let a = M.counter ~cat:"cpu" ~name:"shared"
+      and b = M.counter ~cat:"cpu" ~name:"shared" in
+      M.counter_add a 1.;
+      M.counter_add b 2.;
+      M.counter_incr a;
+      Alcotest.(check (list (pair string (float 0.)))) "one cell"
+        [ ("cpu/shared", 4.) ] (M.read ()).M.counters;
+      M.take_snapshot ~at:1.;
+      let s = List.hd (M.read ()).M.snapshots in
+      Alcotest.(check bool) "find" true (M.find s "cpu/shared" = Some (M.Count 4.));
+      Alcotest.(check bool) "find absent" true (M.find s "cpu/absent" = None))
 
 let test_boundary_sampling =
   (* Boundaries k*dt in (from, until]: a jump from 0 to 10*dt crosses
      exactly 10; a second jump of less than dt crosses none. *)
   with_metrics ~interval_ns:1_000. (fun () ->
-      M.counter_incr ~cat:"cpu" ~name:"e";
+      M.counter_incr cpu_e;
       M.sample_boundaries ~from:0. ~until:10_000.;
       M.sample_boundaries ~from:10_000. ~until:10_999.;
       let tel = M.read () in
@@ -77,7 +132,7 @@ let test_boundary_sampling =
 
 let test_retention_bound =
   with_metrics ~interval_ns:1_000. ~retention:4 (fun () ->
-      M.counter_incr ~cat:"cpu" ~name:"e";
+      M.counter_incr cpu_e;
       (* One huge jump: 100 boundaries, only the last 4 survive — and
          the skip-ahead must account the other 96 as dropped. *)
       M.sample_boundaries ~from:0. ~until:100_000.;
@@ -94,13 +149,13 @@ let test_engine_advance_snapshots =
       let e = E.create () in
       for i = 1 to 5 do
         E.schedule e (float_of_int i *. 700.) (fun _ ->
-            M.counter_incr ~cat:"cpu" ~name:"ev")
+            M.counter_incr cpu_ev)
       done;
       E.run ~until:5_000. e;
       let tel = M.read () in
       Alcotest.(check int) "snapshot per 1000ns boundary" 5
         (List.length tel.M.snapshots);
-      match List.assoc "cpu/ev" (List.hd tel.M.snapshots).M.values with
+      match List.assoc "cpu/ev" (M.values (List.hd tel.M.snapshots)) with
       | M.Count v ->
           (* Boundary 1000 is sampled before the event at 1400 runs:
              only the event at 700 has fired. *)
@@ -109,10 +164,10 @@ let test_engine_advance_snapshots =
 
 let test_capture_isolates =
   with_metrics (fun () ->
-      M.counter_add ~cat:"cpu" ~name:"outer" 5.;
+      M.counter_add cpu_outer 5.;
       let (), tel =
         M.capture (fun () ->
-            M.counter_add ~cat:"cpu" ~name:"inner" 2.;
+            M.counter_add cpu_inner 2.;
             M.take_snapshot ~at:42.)
       in
       (* The capture saw only its own emissions... *)
@@ -138,10 +193,10 @@ let test_capture_isolates =
 let thunks () =
   List.map
     (fun i () ->
-      M.counter_add ~cat:"cpu" ~name:"work" (float_of_int i);
-      M.gauge_set ~cat:"os" ~name:"level" (float_of_int i);
+      M.counter_add cpu_work (float_of_int i);
+      M.gauge_set os_level (float_of_int i);
       for k = 1 to 50 do
-        M.hist_observe ~cat:"platform" ~name:"lat"
+        M.observe platform_lat
           (float_of_int (((i * 7919) + (k * 104729)) mod 10_000))
       done;
       M.take_snapshot ~at:(float_of_int i *. 1_000.);
@@ -263,7 +318,7 @@ let qcheck_capture_partition =
                      List.iter
                        (fun (v, tag) ->
                          if tag mod groups = g then
-                           M.hist_observe ~cat:"p" ~name:"h"
+                           M.observe p_h
                              (float_of_int (v + 1)))
                        samples)))
         in
@@ -276,7 +331,7 @@ let qcheck_capture_partition =
         M.enable ();
         M.reset_registry ();
         List.iter
-          (fun (v, _) -> M.hist_observe ~cat:"p" ~name:"h" (float_of_int (v + 1)))
+          (fun (v, _) -> M.observe p_h (float_of_int (v + 1)))
           samples;
         let tel = M.read () in
         M.disable ();
@@ -381,26 +436,20 @@ let apply_naive t clock = function
       Naive.sample_boundaries t ~from:!clock ~until;
       if until > !clock then clock := until
 
+let counters = Array.map (fun (cat, name) -> M.counter ~cat ~name) counter_keys
+let gauges = Array.map (fun (cat, name) -> M.gauge ~cat ~name) gauge_keys
+let dists = Array.map (fun (cat, name) -> M.dist ~cat ~name) dist_keys
+
 let apply_registry ~dt clock = function
-  | Add (i, v) ->
-      let cat, name = counter_keys.(i) in
-      M.counter_add ~cat ~name v
-  | Set (i, v) ->
-      let cat, name = gauge_keys.(i) in
-      M.gauge_set ~cat ~name v
-  | Inc (i, v) ->
-      let cat, name = gauge_keys.(i) in
-      M.gauge_add ~cat ~name v
-  | Obs (i, v) ->
-      let cat, name = dist_keys.(i) in
-      M.hist_observe ~cat ~name v
+  | Add (i, v) -> M.counter_add counters.(i) v
+  | Set (i, v) -> M.gauge_set gauges.(i) v
+  | Inc (i, v) -> M.gauge_add gauges.(i) v
+  | Obs (i, v) -> M.observe dists.(i) v
   | Snap -> M.take_snapshot ~at:!clock
   | Jump (nb, frac) ->
       let until = (Float.floor (!clock /. dt) +. float_of_int nb +. frac) *. dt in
       M.sample_boundaries ~from:!clock ~until;
       if until > !clock then clock := until
-
-let values (s : M.snapshot) = s.M.values
 
 (* Bit-level equality: the artifacts print these floats, so -0. and 0.
    (or two NaNs) must not pass for one another by accident. *)
@@ -432,10 +481,10 @@ let agrees_with_naive ~dt ~retention ops =
   && List.for_all2
        (fun (s : M.snapshot) (at, vs) ->
          same_float s.M.at at
-         && List.length (values s) = List.length vs
+         && List.length (M.values s) = List.length vs
          && List.for_all2
               (fun (k, a) (k', b) -> String.equal k k' && same_sample a b)
-              (values s) vs)
+              (M.values s) vs)
        tel.M.snapshots want
 
 let gen_case =
@@ -520,6 +569,10 @@ let suites =
         Alcotest.test_case "emitters, snapshot, sorted keys" `Quick
           test_emitters_and_snapshot;
         Alcotest.test_case "kind mismatch raises" `Quick test_kind_mismatch_raises;
+        Alcotest.test_case "handles follow drain, reset and capture" `Quick
+          test_handles_follow_registry;
+        Alcotest.test_case "two handles for one key share a cell" `Quick
+          test_handles_share_cell;
         Alcotest.test_case "boundary sampling in (from, until]" `Quick
           test_boundary_sampling;
         Alcotest.test_case "retention bound with skip-ahead" `Quick

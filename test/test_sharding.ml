@@ -120,6 +120,9 @@ let test_shard_reduce () =
    histograms per shard.  Runs are compared against the jobs-1 /
    seed-0 reference byte-for-byte (results, events, telemetry). *)
 
+let shard_cells = Metrics.counter ~cat:"shardtest" ~name:"cells"
+let shard_size = Metrics.dist ~cat:"shardtest" ~name:"size"
+
 let workload () =
   List.init 3 (fun t ->
       Parallel.Shard.make
@@ -131,9 +134,8 @@ let workload () =
                  ~cat:"shardtest"
                  ~name:(Printf.sprintf "%d.%d" t i)
                  (float_of_int ((10 * t) + i + 1));
-               Metrics.counter_incr ~cat:"shardtest" ~name:"cells";
-               Metrics.hist_observe ~cat:"shardtest" ~name:"size"
-                 (float_of_int i);
+               Metrics.counter_incr shard_cells;
+               Metrics.observe shard_size (float_of_int i);
                (t * 100) + i))
         ~merge:(fun arr -> Array.fold_left ( + ) 0 arr))
 
@@ -238,6 +240,10 @@ let test_trace_concat_rebases () =
       Alcotest.(check bool) "associative" true
         (Trace.concat [ a; b; c ] = Trace.concat [ Trace.concat [ a; b ]; c ]))
 
+let m_n = Metrics.counter ~cat:"m" ~name:"n"
+let m_g = Metrics.gauge ~cat:"m" ~name:"g"
+let m_h = Metrics.dist ~cat:"m" ~name:"h"
+
 let test_merge_telemetry () =
   Metrics.enable ();
   Fun.protect
@@ -246,9 +252,9 @@ let test_merge_telemetry () =
       let cell k v =
         snd
           (Metrics.capture (fun () ->
-               Metrics.counter_add ~cat:"m" ~name:"n" v;
-               Metrics.gauge_set ~cat:"m" ~name:"g" v;
-               Metrics.hist_observe ~cat:"m" ~name:"h" (float_of_int k)))
+               Metrics.counter_add m_n v;
+               Metrics.gauge_set m_g v;
+               Metrics.observe m_h (float_of_int k)))
       in
       let a = cell 1 2. and b = cell 2 3. in
       let m = Metrics.merge_telemetry a b in
@@ -337,7 +343,7 @@ let test_measure_merge () =
       let piece k =
         Capture.measure (fun () ->
             Trace.span ~cat:"c" ~name:"s" (float_of_int k);
-            Metrics.counter_add ~cat:"m" ~name:"n" (float_of_int k);
+            Metrics.counter_add m_n (float_of_int k);
             k)
       in
       let a = piece 2 and b = piece 3 in
