@@ -89,7 +89,6 @@ let run_states config states =
   let start = Array.make clients 0. in
   let finish = Array.make clients 0. in
   let hedge_ns = Array.make clients 0. in
-  let fanout = Array.make clients 1 in
   (* Bundle lane for tail attribution: when [trace_mechanisms] is set,
      each measured request's spans (request + synthetic children) are
      re-based onto a sequential region past the end of the simulated
@@ -117,11 +116,14 @@ let run_states config states =
                 Stdlib.min clones units ))
           states
   in
-  (* The hedge row's name carries the server's clone fan-out, fixed
-     for the run: rendered once here, not per traced request. *)
+  (* A hedged server's row name carries its clone fan-out, fixed for
+     the run: rendered once here, not per traced request.  [None] when
+     requests are not cloned. *)
   let hedge_rows =
     Array.map
-      (function Some (_, d) -> Printf.sprintf "clone-x%d" d | None -> "")
+      (function
+        | Some (_, d) when d > 1 -> Some (Printf.sprintf "clone-x%d" d)
+        | _ -> None)
       policies
   in
   let hedge_base = 2 * clients in
@@ -146,8 +148,7 @@ let run_states config states =
           st.unit_free.(u) <- f;
           start.(k) <- s;
           finish.(k) <- f;
-          hedge_ns.(k) <- 0.;
-          fanout.(k) <- 1
+          hedge_ns.(k) <- 0.
       | Some (p, d) ->
           (* Hedged dispatch over the service units: the policy picks
              [d] distinct units, every clone gets the same sampled
@@ -191,8 +192,7 @@ let run_states config states =
           end;
           start.(k) <- wstart;
           finish.(k) <- tstar;
-          hedge_ns.(k) <- !hedge;
-          fanout.(k) <- d);
+          hedge_ns.(k) <- !hedge);
       if Xc_sim.Metrics.on () then begin
         Xc_sim.Metrics.gauge_add platform_in_flight 1.;
         Xc_sim.Metrics.counter_incr net_messages
@@ -253,15 +253,14 @@ let run_states config states =
          cancellation, clamped like the mechanism rows; the name
          carries the clone fan-out (1ns floor keeps it visible when
          siblings never started). *)
-      let fanout = fanout.(k) in
-      if fanout > 1 then begin
-        let d = Float.min (Float.max hedge_ns.(k) 1.) (budget -. !cursor) in
-        if d > 0. then begin
-          Xc_trace.Trace.span ~at:!cursor ~cat:"lb.hedge"
-            ~name:hedge_rows.(k / conns) d;
-          cursor := !cursor +. d
-        end
-      end;
+      (match hedge_rows.(k / conns) with
+      | Some name ->
+          let d = Float.min (Float.max hedge_ns.(k) 1.) (budget -. !cursor) in
+          if d > 0. then begin
+            Xc_trace.Trace.span ~at:!cursor ~cat:"lb.hedge" ~name d;
+            cursor := !cursor +. d
+          end
+      | None -> ());
       if half_rtt > 0. then
         Xc_trace.Trace.span ~at:(finish +. shift)
           ~cat:Xc_trace.Mechanism.(to_string Net_hop)

@@ -672,7 +672,8 @@ let rule_cell l r =
 let firings ?rules tel =
   let rules = match rules with Some r -> r | None -> alerts () in
   concat_map_by_layout
-    (fun l -> List.filter_map (fun r -> Option.map (fun o -> (r, o)) (rule_cell l r)) rules)
+    (fun l ->
+      List.filter_map (fun r -> Option.map (fun o -> (r, o)) (rule_cell l r)) rules)
     (fun (snap : snapshot) cells ->
       List.filter_map
         (fun (r, o) ->

@@ -432,7 +432,8 @@ let apply_naive t clock = function
   | Obs (i, v) -> Naive.observe t (join dist_keys.(i)) v
   | Snap -> Naive.snapshot t ~at:!clock
   | Jump (nb, frac) ->
-      let until = (Float.floor (!clock /. t.Naive.dt) +. float_of_int nb +. frac) *. t.Naive.dt in
+      let dt = t.Naive.dt in
+      let until = (Float.floor (!clock /. dt) +. float_of_int nb +. frac) *. dt in
       Naive.sample_boundaries t ~from:!clock ~until;
       if until > !clock then clock := until
 
