@@ -425,17 +425,20 @@ let gauge_keys = [| ("os", "runqueue"); ("net", "in-flight") |]
 let dist_keys = [| ("platform", "latency-ns") |]
 let join (c, n) = c ^ "/" ^ n
 
+(* Advance [clock] by a [Jump (nb, frac)], handing the jump to
+   [sample]; a jump that does not move the clock forward is a no-op. *)
+let jump ~dt clock nb frac sample =
+  let until = (Float.floor (!clock /. dt) +. float_of_int nb +. frac) *. dt in
+  sample ~from:!clock ~until;
+  if until > !clock then clock := until
+
 let apply_naive t clock = function
   | Add (i, v) -> Naive.counter_add t (join counter_keys.(i)) v
   | Set (i, v) -> Naive.gauge_set t (join gauge_keys.(i)) v
   | Inc (i, v) -> Naive.gauge_add t (join gauge_keys.(i)) v
   | Obs (i, v) -> Naive.observe t (join dist_keys.(i)) v
   | Snap -> Naive.snapshot t ~at:!clock
-  | Jump (nb, frac) ->
-      let dt = t.Naive.dt in
-      let until = (Float.floor (!clock /. dt) +. float_of_int nb +. frac) *. dt in
-      Naive.sample_boundaries t ~from:!clock ~until;
-      if until > !clock then clock := until
+  | Jump (nb, frac) -> jump ~dt:t.Naive.dt clock nb frac (Naive.sample_boundaries t)
 
 let counters = Array.map (fun (cat, name) -> M.counter ~cat ~name) counter_keys
 let gauges = Array.map (fun (cat, name) -> M.gauge ~cat ~name) gauge_keys
@@ -447,10 +450,7 @@ let apply_registry ~dt clock = function
   | Inc (i, v) -> M.gauge_add gauges.(i) v
   | Obs (i, v) -> M.observe dists.(i) v
   | Snap -> M.take_snapshot ~at:!clock
-  | Jump (nb, frac) ->
-      let until = (Float.floor (!clock /. dt) +. float_of_int nb +. frac) *. dt in
-      M.sample_boundaries ~from:!clock ~until;
-      if until > !clock then clock := until
+  | Jump (nb, frac) -> jump ~dt clock nb frac M.sample_boundaries
 
 (* Bit-level equality: the artifacts print these floats, so -0. and 0.
    (or two NaNs) must not pass for one another by accident. *)
